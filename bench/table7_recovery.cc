@@ -89,13 +89,7 @@ uint64_t FindInteriorLsn(Process& proc) {
   ReplayPlanInputs inputs;
   inputs.machine = proc.machine_name();
   inputs.process_id = proc.pid();
-  inputs.origins = DeriveReplayOrigins(view, proc.log().head_base());
-  uint64_t scan_start = kInvalidLsn;
-  for (const auto& [context_id, origin] : inputs.origins) {
-    if (origin != kInvalidLsn) scan_start = std::min(scan_start, origin);
-  }
-  if (scan_start == kInvalidLsn) scan_start = proc.log().head_base();
-  ReplayPlan plan = BuildReplayPlan(view, scan_start, inputs);
+  ReplayPlan plan = PlanLogReplay(proc.log(), std::move(inputs));
   for (const ReplayChain& chain : plan.chains) {
     for (const PlannedUnit& unit : chain.units) {
       if (unit.extent_end_lsn <= unit.replay.start_lsn) continue;
@@ -126,7 +120,7 @@ ParallelRecoveryRun RunParallelRecovery(obs::BenchVariant* variant, int pairs,
                                         uint32_t wal_shards = 1) {
   RuntimeOptions options;
   options.parallel_replay = parallel;
-  options.parallel_replay_sessions = sessions;
+  if (parallel) options.parallel_replay_sessions = sessions;
   options.wal_shards = wal_shards;
   SimulationParams params;
   params.seed = seed;

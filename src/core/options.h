@@ -16,6 +16,18 @@ enum class LoggingMode : int {
   kOptimized = 1,
 };
 
+// Capped-exponential backoff with seeded jitter (core/retry.h): attempt k
+// sleeps min(initial_ms * multiplier^k, max_ms) plus a uniform jitter of up
+// to jitter * that base, and budget_ms bounds the sum of all sleeps (0 = no
+// bound).
+struct BackoffPolicy {
+  double initial_ms = 10.0;
+  double multiplier = 2.0;
+  double max_ms = 80.0;
+  double jitter = 0.1;
+  double budget_ms = 0.0;
+};
+
 // The prototype's switches (§5: "log optimizations and checkpointing can all
 // be turned on or off via switches").
 struct RuntimeOptions {
@@ -60,20 +72,12 @@ struct RuntimeOptions {
   // bound keeps broken test setups from spinning forever).
   int max_call_retries = 64;
 
-  // Capped exponential backoff between retries: attempt k sleeps
-  // min(initial * multiplier^k, max), plus a seeded uniform jitter of up to
-  // retry_jitter * backoff to de-synchronize concurrent retriers. The first
-  // sleep equals the old fixed 10 ms schedule, so fault-free timings and
-  // the Table 4 benchmark numbers are unchanged.
-  double retry_initial_backoff_ms = 10.0;
-  double retry_backoff_multiplier = 2.0;
-  double retry_max_backoff_ms = 80.0;
-  double retry_jitter = 0.1;
-
-  // Total backoff budget one call may spend across all its retries, in sim
-  // milliseconds (0 = unbounded). With the default schedule 64 retries would
-  // otherwise burn >4 s of sim time per permanently-dead server.
-  double call_retry_budget_ms = 250.0;
+  // Backoff between a call's retries and its total budget. The first sleep
+  // equals the old fixed 10 ms schedule, so fault-free timings and the
+  // Table 4 benchmark numbers are unchanged. The 250 ms budget keeps 64
+  // retries from burning >4 s of sim time per permanently-dead server
+  // (0 = retry until a response arrives).
+  BackoffPolicy call_retry{.budget_ms = 250.0};
 
   // Whether ExternalClient retries unavailable calls too. Externals are
   // outside the guarantees; retrying lets the window-of-vulnerability tests
@@ -112,8 +116,8 @@ struct RuntimeOptions {
   // and durable horizon, so independent chains stop contending on one
   // force queue; every frame carries a global sequence number and
   // recovery k-way merges the shards back into append order
-  // (wal/shard_router.h, wal/merged_log_reader.h). Clamped to 64 (the
-  // per-chain touched-shard bitmask width).
+  // (wal/shard_router.h, wal/merged_log_reader.h). At most kMaxWalShards
+  // (the per-chain touched-shard bitmask width).
   uint32_t wal_shards = 1;
 
   // Seed for the context -> shard router hash. Changing it re-partitions
@@ -142,16 +146,7 @@ struct RuntimeOptions {
   // Recovery supervisor (RecoveryService::EnsureProcessAlive): each rung of
   // the degradation ladder — normal recovery, salvage-assessed recovery,
   // state-record cold start — gets this many attempts before escalating.
-  // Backoff between failed attempts is capped-exponential with seeded
-  // jitter, like call retries; a budget of 0 means no time bound (the
-  // attempt count alone terminates the loop). The fault-free path sleeps
-  // never, so these knobs cannot perturb pinned benchmarks.
   int recovery_supervisor_attempts_per_rung = 5;
-  double recovery_supervisor_backoff_initial_ms = 10.0;
-  double recovery_supervisor_backoff_multiplier = 2.0;
-  double recovery_supervisor_backoff_max_ms = 80.0;
-  double recovery_supervisor_backoff_jitter = 0.1;
-  double recovery_supervisor_backoff_budget_ms = 0.0;
 };
 
 }  // namespace phoenix

@@ -19,7 +19,7 @@ Result<Value> ExternalClient::Call(const std::string& uri,
 
   const RuntimeOptions& opts = sim_->options();
   int attempts = opts.external_client_retries ? opts.max_call_retries + 1 : 1;
-  RetryBackoff backoff(opts);
+  RetryBackoff backoff(opts.call_retry);
   Status last = Status::Unavailable("not attempted");
   for (int i = 0; i < attempts; ++i) {
     ++calls_sent_;

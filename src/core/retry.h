@@ -8,41 +8,27 @@
 
 namespace phoenix {
 
-// Capped-exponential backoff schedule for one logical call's retry loop
-// (condition 4). Attempt k sleeps min(initial * multiplier^k, max) plus a
-// seeded uniform jitter of up to retry_jitter * that base, and the sum of
-// all sleeps for the call is bounded by call_retry_budget_ms (0 = no bound).
+// One retry loop's backoff schedule under a BackoffPolicy (core/options.h):
+// a call's retries (condition 4) or the recovery supervisor's attempts.
 // The jitter stream is only consumed when a sleep actually happens, so
 // fault-free runs never draw from it.
 class RetryBackoff {
  public:
-  explicit RetryBackoff(const RuntimeOptions& opts)
-      : RetryBackoff(opts.retry_initial_backoff_ms,
-                     opts.retry_backoff_multiplier, opts.retry_max_backoff_ms,
-                     opts.retry_jitter, opts.call_retry_budget_ms) {}
-
-  // Explicit schedule, for loops with their own knobs (e.g. the recovery
-  // supervisor's between-attempt backoff).
-  RetryBackoff(double initial_ms, double multiplier, double max_ms,
-               double jitter, double budget_ms)
-      : initial_ms_(initial_ms),
-        multiplier_(multiplier),
-        max_ms_(max_ms),
-        jitter_(jitter),
-        budget_ms_(budget_ms),
-        next_ms_(initial_ms) {}
+  explicit RetryBackoff(const BackoffPolicy& policy)
+      : policy_(policy), next_ms_(policy.initial_ms) {}
 
   // The sleep before the next retry, or a negative value when the call's
   // backoff budget is exhausted and the caller should give up.
   double NextDelayMs(Random& jitter_rng) {
-    if (budget_ms_ > 0.0 && spent_ms_ >= budget_ms_) return -1.0;
+    const double budget_ms = policy_.budget_ms;
+    if (budget_ms > 0.0 && spent_ms_ >= budget_ms) return -1.0;
     double base = next_ms_;
-    next_ms_ = std::min(next_ms_ * multiplier_, max_ms_);
+    next_ms_ = std::min(next_ms_ * policy_.multiplier, policy_.max_ms);
     double delay = base;
-    if (jitter_ > 0.0 && base > 0.0) {
-      delay += base * jitter_ * jitter_rng.NextDouble();
+    if (policy_.jitter > 0.0 && base > 0.0) {
+      delay += base * policy_.jitter * jitter_rng.NextDouble();
     }
-    if (budget_ms_ > 0.0) delay = std::min(delay, budget_ms_ - spent_ms_);
+    if (budget_ms > 0.0) delay = std::min(delay, budget_ms - spent_ms_);
     spent_ms_ += delay;
     return delay;
   }
@@ -50,11 +36,7 @@ class RetryBackoff {
   double spent_ms() const { return spent_ms_; }
 
  private:
-  double initial_ms_;
-  double multiplier_;
-  double max_ms_;
-  double jitter_;
-  double budget_ms_;
+  BackoffPolicy policy_;
   double next_ms_;
   double spent_ms_ = 0.0;
 };

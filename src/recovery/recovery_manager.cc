@@ -1,6 +1,7 @@
 #include "recovery/recovery_manager.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "common/macros.h"
@@ -207,34 +208,28 @@ Status RecoveryManager::Recover() {
   }
 
   // Start point: the published checkpoint, or the whole retained log —
-  // after validating the well-known LSN and salvaging storage damage.
-  // A sharded WAL works in global-sequence space: the "start" is a gsn cut
-  // over the materialized k-way merge instead of an LSN.
-  bool sharded = proc.log().sharded();
-  uint64_t start_lsn =
-      sharded ? AssessAndSalvageShardedLog() : AssessAndSalvageLog();
+  // after validating the well-known LSN and salvaging storage damage. It is
+  // an order cut: an LSN on a single log, a global sequence number on a
+  // sharded one.
+  uint64_t start_order = AssessAndSalvageLog();
 
   // Analysis phase: one forward scan rebuilding the recovery map and the
   // global tables (§4.4's first pass).
   {
     obs::Tracer::Span span = sim->tracer().StartSpan(
         "recovery", "analysis", label, recover_span.link(),
-        {obs::Arg("start_lsn", start_lsn)});
+        {obs::Arg("start_lsn", start_order)});
     TraceFrameScope frame(sim, span);
-    PHX_RETURN_IF_ERROR(sharded ? PassOneSharded(start_lsn)
-                                : PassOne(start_lsn));
+    PHX_RETURN_IF_ERROR(PassOne(start_order));
     span.AddArg(obs::Arg("records_scanned", stats_.records_scanned));
     span.AddArg(
         obs::Arg("contexts_found", static_cast<uint64_t>(infos_.size())));
   }
 
-  // The activator context always recovers by replay from the scan start.
-  if (sharded) {
-    if (infos_[0].recovery_order == kInvalidLsn) {
-      infos_[0].recovery_order = start_lsn;  // the start is a gsn cut
-    }
-  } else if (infos_[0].recovery_lsn == kInvalidLsn) {
-    infos_[0].recovery_lsn = start_lsn;
+  // The activator context always recovers by replay from the scan start. It
+  // has no origin record, so only its order is set.
+  if (infos_[0].recovery_order == kInvalidLsn) {
+    infos_[0].recovery_order = start_order;
   }
 
   // Redo phase: reinstall saved context states and the rebuilt tables.
@@ -290,11 +285,12 @@ Status RecoveryManager::Recover() {
 uint64_t RecoveryManager::AssessAndSalvageLog() {
   Process& proc = *process_;
   Simulation* sim = proc.simulation();
+  LogManager& log = proc.log();
   std::string label = ProcLabel(&proc);
   obs::LabelSet labels{{"process", label}};
 
-  uint64_t start_lsn = proc.log().head_base();
-  Result<uint64_t> well_known = proc.log().ReadWellKnownLsn();
+  uint64_t start_order = log.head_order();
+  Result<uint64_t> well_known = log.ReadWellKnownLsn();
   if (mode_ != RecoveryMode::kNormal) {
     // Degraded rungs distrust the published checkpoint pointer outright —
     // a prior attempt already failed, and a lying well-known file is one of
@@ -305,267 +301,161 @@ uint64_t RecoveryManager::AssessAndSalvageLog() {
           .Increment();
       sim->tracer().Instant("recovery", "salvage_wkf_distrusted", label,
                             {obs::Arg("wkf_lsn", *well_known),
-                             obs::Arg("scan_from", start_lsn)});
+                             obs::Arg("scan_from", start_order)});
     }
   } else if (well_known.ok()) {
     // A corrupt well-known file (bit rot, or one pointing past a torn tail)
     // must not be trusted: unless its LSN lands exactly on a readable
     // begin-checkpoint record, rebuild from a full scan of the retained
-    // log instead.
+    // log instead. Checkpoint records live on shard 0 (the whole log when
+    // unsharded), so a pointer with other shard bits is rot too.
     uint64_t wkf = *well_known;
-    LogView log = proc.log().StableView();
     bool valid = false;
-    if (wkf >= log.base && wkf <= log.base + log.bytes->size()) {
-      Result<LogRecord> rec = ReadRecordAt(log, wkf);
-      valid = rec.ok() &&
-              std::get_if<BeginCheckpointRecord>(&rec.value()) != nullptr;
+    if (ShardOfLsn(wkf) == 0) {
+      Result<LogRecord> rec = log.ReadRecordAtLsn(wkf);
+      Result<uint64_t> order = log.OrderOfRecordAt(wkf);
+      if (rec.ok() &&
+          std::get_if<BeginCheckpointRecord>(&rec.value()) != nullptr &&
+          order.ok()) {
+        valid = true;
+        start_order = *order;
+      }
     }
-    if (valid) {
-      start_lsn = wkf;
-    } else {
+    if (!valid) {
       sim->metrics()
           .GetCounter("phoenix.recovery.salvage.wkf_fallback", labels)
           .Increment();
       sim->tracer().Instant("recovery", "salvage_wkf_fallback", label,
                             {obs::Arg("wkf_lsn", wkf),
-                             obs::Arg("scan_from", start_lsn)});
+                             obs::Arg("scan_from", start_order)});
     }
   }
 
-  // Damage probe: one un-costed salvage scan. A torn tail is physically
-  // amputated at the first unreadable byte so the partial frame cannot
-  // pollute records appended after this recovery; unreadable mid-log
-  // regions above a checkpoint start force a full scan, because the bytes
-  // lost there may be the checkpoint's own table records.
+  // Damage probe: one un-costed salvage scan from the cut. A torn tail is
+  // physically amputated at the first unreadable byte so the partial frame
+  // cannot pollute records appended after this recovery (other shards keep
+  // their tails untouched); unreadable mid-log regions above a checkpoint
+  // cut force a full scan, because the bytes lost there may be the
+  // checkpoint's own table records. Damage below the cut is never seen
+  // (OrderedLogCursor).
   for (;;) {
-    LogView log = proc.log().StableView();
-    LogReader probe(log, start_lsn);
-    probe.EnableSalvage();
+    OrderedLogCursor probe(log, start_order);
     while (probe.Next()) {
     }
-    if (probe.tail_torn()) {
-      uint64_t torn_at = probe.torn_offset();
-      uint64_t discarded = log.base + log.bytes->size() - torn_at;
-      proc.log().TruncateStableTail(torn_at);
+    std::vector<ShardDamage> damage = probe.damage();
+    bool amputated = false;
+    for (const ShardDamage& shard : damage) {
+      if (!shard.tail_torn) continue;
+      uint64_t discarded = shard.end_lsn - shard.torn_offset;
+      log.TruncateStableTail(shard.torn_offset);
       sim->metrics()
           .GetCounter("phoenix.recovery.salvage.torn_tail_bytes", labels)
           .Increment(discarded);
       sim->tracer().Instant("recovery", "salvage_torn_tail", label,
-                            {obs::Arg("torn_at_lsn", torn_at),
+                            {obs::Arg("torn_at_lsn", shard.torn_offset),
                              obs::Arg("bytes_discarded", discarded)});
-      continue;  // re-probe the amputated log
+      amputated = true;
     }
-    if (!probe.skipped_ranges().empty() &&
-        start_lsn > proc.log().head_base()) {
-      start_lsn = proc.log().head_base();
+    if (amputated) continue;  // re-probe the amputated log
+    if (!damage.empty() && start_order > log.head_order()) {
+      start_order = log.head_order();
       sim->metrics()
           .GetCounter("phoenix.recovery.salvage.full_scan_fallback", labels)
           .Increment();
       sim->tracer().Instant("recovery", "salvage_full_scan", label,
-                            {obs::Arg("scan_from", start_lsn)});
+                            {obs::Arg("scan_from", start_order)});
       continue;  // re-probe the widened range
     }
-    if (!probe.skipped_ranges().empty()) {
+    if (!damage.empty()) {
+      std::vector<SkippedRange> skipped = probe.gaps();  // no torn tails left
       sim->metrics()
           .GetCounter("phoenix.recovery.salvage.ranges_skipped", labels)
-          .Increment(probe.skipped_ranges().size());
+          .Increment(skipped.size());
       sim->metrics()
           .GetCounter("phoenix.recovery.salvage.bytes_skipped", labels)
           .Increment(probe.skipped_bytes());
-      for (const SkippedRange& range : probe.skipped_ranges()) {
+      for (const SkippedRange& range : skipped) {
         sim->tracer().Instant("recovery", "salvage_skip", label,
                               {obs::Arg("from_lsn", range.from_lsn),
                                obs::Arg("to_lsn", range.to_lsn)});
       }
     }
-    return start_lsn;
+    if (log.sharded()) {
+      // The sharded merge's input: every record of every shard, those below
+      // the cut included.
+      sim->metrics()
+          .GetCounter("phoenix.recovery.merge.records", labels)
+          .Increment(probe.records_read());
+      if (probe.inversions() > 0) {
+        sim->metrics()
+            .GetCounter("phoenix.recovery.merge.inversions", labels)
+            .Increment(probe.inversions());
+      }
+    }
+    return start_order;
   }
 }
 
-uint64_t RecoveryManager::AssessAndSalvageShardedLog() {
+Status RecoveryManager::PassOne(uint64_t start_order) {
   Process& proc = *process_;
   Simulation* sim = proc.simulation();
-  LogManager& log = proc.log();
-  std::string label = ProcLabel(&proc);
-  obs::LabelSet labels{{"process", label}};
 
-  // Per-shard damage probe (un-costed): torn tails are physically amputated
-  // per shard so the partial frames cannot pollute records appended after
-  // this recovery — the other shards keep their tails untouched. Mid-log
-  // skipped ranges stay in place; the merged scan reports them and the
-  // replay planner demotes exactly the chains they touched.
-  bool any_skipped = false;
-  for (uint32_t s = 0; s < log.shard_count(); ++s) {
-    for (;;) {
-      LogView view = log.ShardStableView(s);
-      LogReader probe(view, log.shard_head_base(s));
-      probe.EnableSalvage();
-      probe.EnableGsnPrefix();
-      while (probe.Next()) {
-      }
-      if (probe.tail_torn()) {
-        uint64_t torn_at = probe.torn_offset();
-        uint64_t discarded = view.base + view.bytes->size() - torn_at;
-        log.TruncateStableTail(MakeShardLsn(s, torn_at));
-        sim->metrics()
-            .GetCounter("phoenix.recovery.salvage.torn_tail_bytes", labels)
-            .Increment(discarded);
-        sim->tracer().Instant("recovery", "salvage_torn_tail", label,
-                              {obs::Arg("shard", static_cast<uint64_t>(s)),
-                               obs::Arg("torn_at_lsn", torn_at),
-                               obs::Arg("bytes_discarded", discarded)});
-        continue;  // re-probe the amputated shard
-      }
-      if (!probe.skipped_ranges().empty()) {
-        any_skipped = true;
-        sim->metrics()
-            .GetCounter("phoenix.recovery.salvage.ranges_skipped", labels)
-            .Increment(probe.skipped_ranges().size());
-        sim->metrics()
-            .GetCounter("phoenix.recovery.salvage.bytes_skipped", labels)
-            .Increment(probe.skipped_bytes());
-        for (const SkippedRange& range : probe.skipped_ranges()) {
-          sim->tracer().Instant("recovery", "salvage_skip", label,
-                                {obs::Arg("shard", static_cast<uint64_t>(s)),
-                                 obs::Arg("from_lsn", range.from_lsn),
-                                 obs::Arg("to_lsn", range.to_lsn)});
-        }
-      }
-      break;
-    }
-  }
-
-  // Scan cut: the begin-checkpoint record's global sequence number (read
-  // off shard 0, where every checkpoint record lives), or 0 for a full
-  // merge. The same trust rules as the single-log path apply.
-  uint64_t start_order = 0;
-  Result<uint64_t> well_known = log.ReadWellKnownLsn();
-  if (mode_ != RecoveryMode::kNormal) {
-    if (well_known.ok()) {
-      sim->metrics()
-          .GetCounter("phoenix.recovery.salvage.wkf_distrusted", labels)
-          .Increment();
-      sim->tracer().Instant("recovery", "salvage_wkf_distrusted", label,
-                            {obs::Arg("wkf_lsn", *well_known),
-                             obs::Arg("scan_from_order", start_order)});
-    }
-  } else if (well_known.ok()) {
-    uint64_t wkf = *well_known;
-    bool valid = false;
-    uint64_t order = 0;
-    // A checkpoint pointer is a shard-0 composite LSN; a bit-rotted one can
-    // carry any shard bits, so the shard check is part of validation.
-    if (wkf != kInvalidLsn && ShardOfLsn(wkf) == 0) {
-      Result<LogRecord> rec = log.ReadRecordAtLsn(wkf);
-      if (rec.ok() &&
-          std::get_if<BeginCheckpointRecord>(&rec.value()) != nullptr) {
-        Result<uint64_t> got = log.OrderOfRecordAt(wkf);
-        if (got.ok()) {
-          valid = true;
-          order = *got;
-        }
-      }
-    }
-    if (valid) {
-      start_order = order;
-    } else {
-      sim->metrics()
-          .GetCounter("phoenix.recovery.salvage.wkf_fallback", labels)
-          .Increment();
-      sim->tracer().Instant("recovery", "salvage_wkf_fallback", label,
-                            {obs::Arg("wkf_lsn", wkf),
-                             obs::Arg("scan_from_order", start_order)});
-    }
-  }
-  if (any_skipped && start_order > 0) {
-    // Bytes lost mid-log may be the checkpoint's own table records; only a
-    // full merge can prove otherwise.
-    start_order = 0;
-    sim->metrics()
-        .GetCounter("phoenix.recovery.salvage.full_scan_fallback", labels)
-        .Increment();
-    sim->tracer().Instant("recovery", "salvage_full_scan", label,
-                          {obs::Arg("scan_from_order", start_order)});
-  }
-
-  // Materialize the k-way merge both passes (and the replay planner) will
-  // iterate, and index it by composite LSN for origin-order lookups.
-  merged_ = ScanShardedLog(log);
-  order_of_lsn_.clear();
-  for (const OrderedRecord& rec : merged_.records) {
-    order_of_lsn_[rec.lsn] = rec.order;
-  }
-  sim->metrics()
-      .GetCounter("phoenix.recovery.merge.records", labels)
-      .Increment(merged_.records.size());
-  if (merged_.inversions > 0) {
-    sim->metrics()
-        .GetCounter("phoenix.recovery.merge.inversions", labels)
-        .Increment(merged_.inversions);
-  }
-  return start_order;
-}
-
-uint64_t RecoveryManager::OrderOfLsn(uint64_t lsn) const {
-  auto it = order_of_lsn_.find(lsn);
-  return it == order_of_lsn_.end() ? kInvalidLsn : it->second;
-}
-
-Status RecoveryManager::PassOne(uint64_t start_lsn) {
-  Process& proc = *process_;
-  Simulation* sim = proc.simulation();
-  LogView log = proc.log().StableView();
-
-  LogReader reader(log, start_lsn);
-  reader.EnableSalvage();
-  while (auto parsed = reader.Next()) {
+  // All of a context's origin candidates (state records, its creation; for
+  // the activator also the checkpoint records, which all live on shard 0)
+  // share one shard, so the LSN comparisons between them below are exactly
+  // the single-log ones. recovery_order rides alongside for the
+  // cross-context decisions (scan cuts, pass-2 filtering).
+  OrderedLogCursor cursor(proc.log(), start_order);
+  while (std::optional<OrderedRecord> rec = cursor.Next()) {
     ++stats_.records_scanned;
     sim->clock().AdvanceMs(sim->costs().recovery_scan_record_ms);
     if (proc.MaybeCrash(FailurePoint::kDuringRecoveryAnalysis)) {
       return Status::Crashed("crashed during recovery analysis scan");
     }
-    uint64_t lsn = parsed->lsn;
 
     if (const auto* e =
-            std::get_if<CheckpointContextEntryRecord>(&parsed->record)) {
+            std::get_if<CheckpointContextEntryRecord>(&rec->record)) {
       ContextInfo& info = infos_[e->context_id];
       if (info.recovery_lsn == kInvalidLsn ||
           (e->recovery_lsn != kInvalidLsn &&
            e->recovery_lsn > info.recovery_lsn)) {
-        info.recovery_lsn = e->recovery_lsn;
+        SetOrigin(info, e->recovery_lsn);
       }
       info.checkpoint_last_outgoing_seq = e->last_outgoing_seq;
     } else if (const auto* c =
-                   std::get_if<CheckpointLastCallRecord>(&parsed->record)) {
+                   std::get_if<CheckpointLastCallRecord>(&rec->record)) {
       LastCallEntry entry;
       entry.seq = c->call_id.seq;
       entry.reply_lsn = c->reply_lsn;
       entry.context_id = c->context_id;
       MergeLastCall(rebuilt_last_calls_, c->call_id.caller, entry);
     } else if (const auto* t =
-                   std::get_if<CheckpointRemoteTypeRecord>(&parsed->record)) {
+                   std::get_if<CheckpointRemoteTypeRecord>(&rec->record)) {
       rebuilt_remote_types_[t->uri] = RemoteTypeInfo{t->kind, t->type_name};
-    } else if (const auto* cr = std::get_if<CreationRecord>(&parsed->record)) {
+    } else if (const auto* cr = std::get_if<CreationRecord>(&rec->record)) {
       ContextInfo& info = infos_[cr->context_id];
-      if (info.recovery_lsn == kInvalidLsn) info.recovery_lsn = lsn;
-    } else if (const auto* s =
-                   std::get_if<ContextStateRecord>(&parsed->record)) {
-      ContextInfo& info = infos_[s->context_id];
-      info.recovery_lsn = lsn;
+      if (info.recovery_lsn == kInvalidLsn) {
+        info.recovery_lsn = rec->lsn;
+        info.recovery_order = rec->order;
+      }
+    } else if (const auto* st = std::get_if<ContextStateRecord>(&rec->record)) {
+      ContextInfo& info = infos_[st->context_id];
+      info.recovery_lsn = rec->lsn;
+      info.recovery_order = rec->order;
       info.restored_from_state = true;
     } else if (const auto* lr =
-                   std::get_if<LastCallReplyRecord>(&parsed->record)) {
+                   std::get_if<LastCallReplyRecord>(&rec->record)) {
       LastCallEntry entry;
       entry.seq = lr->call_id.seq;
-      entry.reply_lsn = lsn;
+      entry.reply_lsn = rec->lsn;
       entry.context_id = lr->context_id;
       MergeLastCall(rebuilt_last_calls_, lr->call_id.caller, entry);
-    } else if (const auto* rs = std::get_if<ReplySentRecord>(&parsed->record)) {
+    } else if (const auto* rs = std::get_if<ReplySentRecord>(&rec->record)) {
       // Baseline long reply records double as reply sources for the table.
       if (rs->long_form && !rs->call_id.caller.machine.empty()) {
         LastCallEntry entry;
         entry.seq = rs->call_id.seq;
-        entry.reply_lsn = lsn;
+        entry.reply_lsn = rec->lsn;
         entry.context_id = rs->context_id;
         MergeLastCall(rebuilt_last_calls_, rs->call_id.caller, entry);
       }
@@ -576,76 +466,10 @@ Status RecoveryManager::PassOne(uint64_t start_lsn) {
   return Status::OK();
 }
 
-Status RecoveryManager::PassOneSharded(uint64_t start_order) {
-  Process& proc = *process_;
-  Simulation* sim = proc.simulation();
-
-  // All of a context's origin candidates (state records, its creation; for
-  // the activator also the checkpoint records, which all live on shard 0)
-  // share one shard, so the composite-LSN comparisons between them below
-  // are exactly the single-log ones. recovery_order is maintained alongside
-  // for the cross-context decisions (scan cuts, pass-2 filtering).
-  for (const OrderedRecord& rec : merged_.records) {
-    if (rec.order < start_order) continue;
-    ++stats_.records_scanned;
-    sim->clock().AdvanceMs(sim->costs().recovery_scan_record_ms);
-    if (proc.MaybeCrash(FailurePoint::kDuringRecoveryAnalysis)) {
-      return Status::Crashed("crashed during recovery analysis scan");
-    }
-    uint64_t lsn = rec.lsn;
-
-    if (const auto* e =
-            std::get_if<CheckpointContextEntryRecord>(&rec.record)) {
-      ContextInfo& info = infos_[e->context_id];
-      if (info.recovery_lsn == kInvalidLsn ||
-          (e->recovery_lsn != kInvalidLsn &&
-           e->recovery_lsn > info.recovery_lsn)) {
-        info.recovery_lsn = e->recovery_lsn;
-        info.recovery_order = e->recovery_lsn == kInvalidLsn
-                                  ? kInvalidLsn
-                                  : OrderOfLsn(e->recovery_lsn);
-      }
-      info.checkpoint_last_outgoing_seq = e->last_outgoing_seq;
-    } else if (const auto* c =
-                   std::get_if<CheckpointLastCallRecord>(&rec.record)) {
-      LastCallEntry entry;
-      entry.seq = c->call_id.seq;
-      entry.reply_lsn = c->reply_lsn;
-      entry.context_id = c->context_id;
-      MergeLastCall(rebuilt_last_calls_, c->call_id.caller, entry);
-    } else if (const auto* t =
-                   std::get_if<CheckpointRemoteTypeRecord>(&rec.record)) {
-      rebuilt_remote_types_[t->uri] = RemoteTypeInfo{t->kind, t->type_name};
-    } else if (const auto* cr = std::get_if<CreationRecord>(&rec.record)) {
-      ContextInfo& info = infos_[cr->context_id];
-      if (info.recovery_lsn == kInvalidLsn) {
-        info.recovery_lsn = lsn;
-        info.recovery_order = rec.order;
-      }
-    } else if (const auto* s = std::get_if<ContextStateRecord>(&rec.record)) {
-      ContextInfo& info = infos_[s->context_id];
-      info.recovery_lsn = lsn;
-      info.recovery_order = rec.order;
-      info.restored_from_state = true;
-    } else if (const auto* lr =
-                   std::get_if<LastCallReplyRecord>(&rec.record)) {
-      LastCallEntry entry;
-      entry.seq = lr->call_id.seq;
-      entry.reply_lsn = lsn;
-      entry.context_id = lr->context_id;
-      MergeLastCall(rebuilt_last_calls_, lr->call_id.caller, entry);
-    } else if (const auto* rs = std::get_if<ReplySentRecord>(&rec.record)) {
-      if (rs->long_form && !rs->call_id.caller.machine.empty()) {
-        LastCallEntry entry;
-        entry.seq = rs->call_id.seq;
-        entry.reply_lsn = lsn;
-        entry.context_id = rs->context_id;
-        MergeLastCall(rebuilt_last_calls_, rs->call_id.caller, entry);
-      }
-    }
-  }
-  stats_.contexts_found = infos_.size();
-  return Status::OK();
+void RecoveryManager::SetOrigin(ContextInfo& info, uint64_t lsn) {
+  Result<uint64_t> order = process_->log().OrderOfRecordAt(lsn);
+  info.recovery_lsn = lsn;
+  info.recovery_order = order.ok() ? *order : kInvalidLsn;
 }
 
 Status RecoveryManager::RestoreContextStates() {
@@ -679,11 +503,7 @@ Status RecoveryManager::RestoreContextStates() {
                           {obs::Arg("context", context_id),
                            obs::Arg("bad_lsn", info.recovery_lsn),
                            obs::Arg("fallback_lsn", fallback)});
-    info.recovery_lsn = fallback;
-    if (proc.log().sharded()) {
-      Result<uint64_t> order = proc.log().OrderOfRecordAt(fallback);
-      info.recovery_order = order.ok() ? *order : kInvalidLsn;
-    }
+    SetOrigin(info, fallback);
     info.restored_from_state = false;
     PHX_RETURN_IF_ERROR(RestoreOneContext(context_id, info));
     if (proc.MaybeCrash(FailurePoint::kDuringRecoveryRestore)) {
@@ -746,27 +566,22 @@ Status RecoveryManager::RestoreOneContext(uint64_t context_id,
 
 uint64_t RecoveryManager::FindFallbackOrigin(uint64_t context_id,
                                              uint64_t bad_lsn) {
-  Process& proc = *process_;
-  // A context's origin candidates all live on one shard, so the salvage
-  // scan stays shard-local (the whole log when unsharded).
-  uint32_t shard = proc.log().sharded() ? ShardOfLsn(bad_lsn) : 0;
-  uint64_t bad_local = proc.log().sharded() ? LocalOfLsn(bad_lsn) : bad_lsn;
-  LogView log = proc.log().ShardStableView(shard);
+  // A context's origin candidates all live on one shard (the whole log when
+  // unsharded), where LSNs ascend in append order.
+  LogManager& log = process_->log();
+  uint32_t shard = ShardOfLsn(bad_lsn);
   uint64_t best_state = kInvalidLsn;
   uint64_t best_creation = kInvalidLsn;
-  LogReader reader(log, proc.log().shard_head_base(shard));
-  reader.EnableSalvage();
-  if (proc.log().sharded()) reader.EnableGsnPrefix();
-  while (auto parsed = reader.Next()) {
-    if (parsed->lsn >= bad_local) break;
-    uint64_t lsn = proc.log().sharded() ? MakeShardLsn(shard, parsed->lsn)
-                                        : parsed->lsn;
-    if (const auto* s = std::get_if<ContextStateRecord>(&parsed->record);
+  OrderedLogCursor cursor(log, log.head_order());
+  while (std::optional<OrderedRecord> rec = cursor.Next()) {
+    if (rec->shard != shard) continue;
+    if (rec->lsn >= bad_lsn) break;
+    if (const auto* s = std::get_if<ContextStateRecord>(&rec->record);
         s != nullptr && s->context_id == context_id) {
-      best_state = lsn;
-    } else if (const auto* c = std::get_if<CreationRecord>(&parsed->record);
+      best_state = rec->lsn;
+    } else if (const auto* c = std::get_if<CreationRecord>(&rec->record);
                c != nullptr && c->context_id == context_id) {
-      if (best_creation == kInvalidLsn) best_creation = lsn;
+      if (best_creation == kInvalidLsn) best_creation = rec->lsn;
     }
   }
   return best_state != kInvalidLsn ? best_state : best_creation;
@@ -785,13 +600,15 @@ void RecoveryManager::InstallTables() {
 Status RecoveryManager::PassTwo() {
   Process& proc = *process_;
   Simulation* sim = proc.simulation();
-  if (proc.log().sharded()) return PassTwoSharded();
-  LogView log = proc.log().StableView();
 
+  // Cross-context comparisons — the scan cut here, the below-origin filter
+  // in the loop — run in order space: a context's records and its origin
+  // live on one shard, but the *minimum* is taken across contexts on
+  // different shards, where composite LSNs do not order by time.
   uint64_t scan_start = kInvalidLsn;
   for (const auto& [context_id, info] : infos_) {
-    if (info.recovery_lsn != kInvalidLsn) {
-      scan_start = std::min(scan_start, info.recovery_lsn);
+    if (info.recovery_order != kInvalidLsn) {
+      scan_start = std::min(scan_start, info.recovery_order);
     }
   }
   if (scan_start == kInvalidLsn) return Status::OK();  // nothing to recover
@@ -812,34 +629,32 @@ Status RecoveryManager::PassTwo() {
   });
 
   Status result = Status::OK();
-  LogReader reader(log, scan_start);
-  reader.EnableSalvage();
-  while (auto parsed = reader.Next()) {
+  OrderedLogCursor cursor(proc.log(), scan_start);
+  while (std::optional<OrderedRecord> rec = cursor.Next()) {
     ++stats_.records_scanned;
     sim->clock().AdvanceMs(sim->costs().recovery_scan_record_ms);
-    uint64_t lsn = parsed->lsn;
 
-    if (const auto* creation = std::get_if<CreationRecord>(&parsed->record)) {
+    if (const auto* creation = std::get_if<CreationRecord>(&rec->record)) {
       auto it = infos_.find(creation->context_id);
-      uint64_t origin = it != infos_.end() ? it->second.recovery_lsn
+      uint64_t origin = it != infos_.end() ? it->second.recovery_order
                                            : kInvalidLsn;
-      if (origin != kInvalidLsn && lsn < origin) continue;
-      if (origin != kInvalidLsn && lsn == origin) {
+      if (origin != kInvalidLsn && rec->order < origin) continue;
+      if (origin != kInvalidLsn && rec->order == origin) {
         PendingReplay unit;
         unit.is_creation = true;
-        unit.start_lsn = lsn;
-        unit.order = lsn;
+        unit.start_lsn = rec->lsn;
+        unit.order = rec->order;
         unit.creation = *creation;
         pending_[creation->context_id] = std::move(unit);
       }
       // Creation records newer than the origin (duplicates appended by a
       // previous recovery's live re-creation) need no replay of their own.
     } else if (const auto* incoming =
-                   std::get_if<IncomingCallRecord>(&parsed->record)) {
+                   std::get_if<IncomingCallRecord>(&rec->record)) {
       auto it = infos_.find(incoming->context_id);
       if (it == infos_.end()) continue;  // context created after this scan?
-      if (it->second.recovery_lsn != kInvalidLsn &&
-          lsn < it->second.recovery_lsn) {
+      if (it->second.recovery_order != kInvalidLsn &&
+          rec->order < it->second.recovery_order) {
         continue;
       }
       // The previous buffered unit of this context is complete: replay it.
@@ -854,12 +669,12 @@ Status RecoveryManager::PassTwo() {
         break;
       }
       PendingReplay unit;
-      unit.start_lsn = lsn;
-      unit.order = lsn;
+      unit.start_lsn = rec->lsn;
+      unit.order = rec->order;
       unit.incoming = *incoming;
       pending_[incoming->context_id] = std::move(unit);
     } else if (const auto* reply =
-                   std::get_if<ReplyReceivedRecord>(&parsed->record)) {
+                   std::get_if<ReplyReceivedRecord>(&rec->record)) {
       auto it = pending_.find(reply->context_id);
       if (it != pending_.end()) {
         it->second.feed.replies[reply->seq] = *reply;
@@ -875,95 +690,6 @@ Status RecoveryManager::PassTwo() {
   if (result.ok()) {
     // End of log: replay the remaining buffered calls — the last incoming
     // call of each context — oldest first.
-    result = FlushAllPendingOldestFirst();
-  }
-
-  proc.SetPendingFlusher(nullptr);
-  in_pass_two_ = false;
-  return result;
-}
-
-Status RecoveryManager::PassTwoSharded() {
-  Process& proc = *process_;
-  Simulation* sim = proc.simulation();
-
-  // Cross-context comparisons — the scan cut here, the below-origin filter
-  // in the loop — run in global-sequence space: a context's records and its
-  // origin live on one shard, but the *minimum* is taken across contexts on
-  // different shards, where composite LSNs do not order by time.
-  uint64_t scan_start = kInvalidLsn;
-  for (const auto& [context_id, info] : infos_) {
-    if (info.recovery_order != kInvalidLsn) {
-      scan_start = std::min(scan_start, info.recovery_order);
-    }
-  }
-  if (scan_start == kInvalidLsn) return Status::OK();  // nothing to recover
-
-  if (sim->options().parallel_replay) {
-    Status parallel_result = Status::OK();
-    if (TryParallelPassTwo(scan_start, &parallel_result)) {
-      return parallel_result;
-    }
-  }
-
-  in_pass_two_ = true;
-  proc.SetPendingFlusher([this](uint64_t context_id) {
-    (void)FlushPending(context_id);
-  });
-
-  Status result = Status::OK();
-  for (const OrderedRecord& rec : merged_.records) {
-    if (rec.order < scan_start) continue;
-    ++stats_.records_scanned;
-    sim->clock().AdvanceMs(sim->costs().recovery_scan_record_ms);
-    uint64_t lsn = rec.lsn;
-
-    if (const auto* creation = std::get_if<CreationRecord>(&rec.record)) {
-      auto it = infos_.find(creation->context_id);
-      uint64_t origin_order = it != infos_.end() ? it->second.recovery_order
-                                                 : kInvalidLsn;
-      if (origin_order != kInvalidLsn && rec.order < origin_order) continue;
-      if (origin_order != kInvalidLsn && rec.order == origin_order) {
-        PendingReplay unit;
-        unit.is_creation = true;
-        unit.start_lsn = lsn;
-        unit.order = rec.order;
-        unit.creation = *creation;
-        pending_[creation->context_id] = std::move(unit);
-      }
-    } else if (const auto* incoming =
-                   std::get_if<IncomingCallRecord>(&rec.record)) {
-      auto it = infos_.find(incoming->context_id);
-      if (it == infos_.end()) continue;
-      if (it->second.recovery_order != kInvalidLsn &&
-          rec.order < it->second.recovery_order) {
-        continue;
-      }
-      result = FlushPending(incoming->context_id);
-      if (!result.ok()) break;
-      if (!proc.alive()) {
-        result = Status::Crashed("process died during recovery replay");
-        break;
-      }
-      if (proc.MaybeCrash(FailurePoint::kBetweenReplayUnits)) {
-        result = Status::Crashed("crashed between replay units");
-        break;
-      }
-      PendingReplay unit;
-      unit.start_lsn = lsn;
-      unit.order = rec.order;
-      unit.incoming = *incoming;
-      pending_[incoming->context_id] = std::move(unit);
-    } else if (const auto* reply =
-                   std::get_if<ReplyReceivedRecord>(&rec.record)) {
-      auto it = pending_.find(reply->context_id);
-      if (it != pending_.end()) {
-        it->second.feed.replies[reply->seq] = *reply;
-      }
-    }
-  }
-
-  if (result.ok()) {
     result = FlushAllPendingOldestFirst();
   }
 
@@ -1063,32 +789,13 @@ bool RecoveryManager::TryParallelPassTwo(uint64_t scan_start,
   inputs.replay_call_ms = sim->costs().recovery_replay_call_ms;
   for (const auto& [context_id, info] : infos_) {
     inputs.origins[context_id] = info.recovery_lsn;
-    if (proc.log().sharded()) {
-      inputs.origin_orders[context_id] = info.recovery_order;
-    }
+    inputs.origin_orders[context_id] = info.recovery_order;
   }
-
-  ReplayPlan plan;
-  if (proc.log().sharded()) {
-    // The plan is built from the already-materialized merge; unreadable
-    // regions (mid-log skips plus each amputated tail, widened to the shard
-    // end) demote exactly the chains whose extents they intersect.
-    std::vector<SkippedRange> gaps;
-    for (const ShardDamage& damage : merged_.damage) {
-      for (const SkippedRange& range : damage.skipped) gaps.push_back(range);
-      if (damage.tail_torn) {
-        gaps.push_back(SkippedRange{
-            damage.torn_offset,
-            MakeShardLsn(damage.shard,
-                         proc.log().shard_stable_end(damage.shard))});
-      }
-    }
-    plan = BuildReplayPlanFromRecords(merged_.records, gaps, scan_start,
-                                      inputs);
-  } else {
-    LogView log = proc.log().StableView();
-    plan = BuildReplayPlan(log, scan_start, inputs);
-  }
+  // Unreadable regions the cursor reports (mid-log skips; torn tails were
+  // amputated before pass 1) demote exactly the chains whose extents they
+  // intersect.
+  OrderedLogCursor cursor(proc.log(), scan_start);
+  ReplayPlan plan = BuildReplayPlan(cursor, inputs);
   // The analysis scan is real work whether or not the plan is usable; when
   // it is, it replaces the sequential pass's own scan entirely.
   sim->clock().AdvanceMs(static_cast<double>(plan.records_scanned) *
@@ -1114,8 +821,7 @@ bool RecoveryManager::TryParallelPassTwo(uint64_t scan_start,
          obs::Arg("serialization_edges", plan.serialization_edges)});
   }
 
-  uint32_t sessions =
-      std::max<uint32_t>(1, sim->options().parallel_replay_sessions);
+  uint32_t sessions = sim->options().parallel_replay_sessions;
   sim->metrics()
       .GetCounter("phoenix.recovery.replay.chains", labels)
       .Increment(plan.chains.size());

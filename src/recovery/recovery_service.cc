@@ -1,6 +1,6 @@
 #include "recovery/recovery_service.h"
 
-#include <algorithm>
+#include <optional>
 
 #include "common/strings.h"
 #include "core/retry.h"
@@ -9,12 +9,16 @@
 #include "runtime/process.h"
 #include "runtime/simulation.h"
 #include "serde/codec.h"
-#include "wal/log_reader.h"
+#include "wal/merged_log_reader.h"
 
 namespace phoenix {
 namespace {
 
 constexpr int kNumRungs = 3;
+
+// Backoff between failed recovery attempts. No time budget: the attempt
+// count per rung alone ends the ladder.
+constexpr BackoffPolicy kSupervisorBackoff{};
 
 RecoveryMode ModeForRung(int rung) {
   switch (rung) {
@@ -106,33 +110,19 @@ void RecoveryService::ApplyRecoveryAttacks(Process* process,
         sim->storage().CorruptFile(log_name + ".wkf", 0, /*flip_count=*/2);
         break;
       case RecoveryAttack::kCorruptNewestStateRecord: {
-        // Newest by append order — on a sharded WAL the state records are
-        // spread across shards, so "newest" means highest global sequence
-        // number, and the bit flips land in that shard's file.
+        // Newest by append order: on a sharded WAL the bit flips land in
+        // the shard file holding the gsn-newest state record.
         LogManager& log = process->log();
-        uint64_t state_lsn = kInvalidLsn;
-        uint64_t state_order = 0;
-        uint32_t state_shard = 0;
-        for (uint32_t s = 0; s < log.shard_count(); ++s) {
-          LogView view = log.ShardStableView(s);
-          LogReader reader(view, log.shard_head_base(s));
-          reader.EnableSalvage();
-          if (log.sharded()) reader.EnableGsnPrefix();
-          while (auto parsed = reader.Next()) {
-            if (!std::holds_alternative<ContextStateRecord>(parsed->record)) {
-              continue;
-            }
-            uint64_t order = log.sharded() ? parsed->order : parsed->lsn;
-            if (state_lsn == kInvalidLsn || order > state_order) {
-              state_lsn = parsed->lsn;
-              state_order = order;
-              state_shard = s;
-            }
+        std::optional<OrderedRecord> newest;
+        OrderedLogCursor cursor(log, log.head_order());
+        while (std::optional<OrderedRecord> rec = cursor.Next()) {
+          if (std::holds_alternative<ContextStateRecord>(rec->record)) {
+            newest = std::move(rec);
           }
         }
-        if (state_lsn != kInvalidLsn) {
-          sim->storage().CorruptLog(log.shard_log_name(state_shard),
-                                    state_lsn + 8,
+        if (newest.has_value()) {
+          sim->storage().CorruptLog(log.shard_log_name(newest->shard),
+                                    LocalOfLsn(newest->lsn) + 8,
                                     /*flip_count=*/2);
         }
         break;
@@ -158,13 +148,8 @@ Status RecoveryService::SuperviseRecovery(uint32_t pid, Process* process) {
   std::string label = StrCat(machine_->name(), "/", pid);
   obs::LabelSet labels{{"process", label}};
 
-  const int attempts_per_rung =
-      std::max(1, opts.recovery_supervisor_attempts_per_rung);
-  RetryBackoff backoff(opts.recovery_supervisor_backoff_initial_ms,
-                       opts.recovery_supervisor_backoff_multiplier,
-                       opts.recovery_supervisor_backoff_max_ms,
-                       opts.recovery_supervisor_backoff_jitter,
-                       opts.recovery_supervisor_backoff_budget_ms);
+  const int attempts_per_rung = opts.recovery_supervisor_attempts_per_rung;
+  RetryBackoff backoff(kSupervisorBackoff);
 
   // Recovery only reads the stable log, so it is idempotent: if the process
   // is killed again mid-recovery (inject_failures_during_recovery), the

@@ -1,6 +1,7 @@
 #include "recovery/replay_plan.h"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <utility>
 
@@ -69,30 +70,35 @@ void ComputeCosts(ReplayPlan& plan, double unit_ms) {
   plan.critical_path_ms = critical;
 }
 
-// Incremental chain/edge construction shared by the single-log scan and the
-// sharded record-stream planner. `order` is the record's replay order: the
-// LSN itself on a single log, the global sequence number on a sharded WAL.
+// Incremental chain/edge construction, one ordered record at a time.
+// Below-origin filtering compares replay orders (inputs.origin_orders).
 class PlanBuilder {
  public:
-  PlanBuilder(ReplayPlan& plan, const ReplayPlanInputs& inputs,
-              bool order_origins)
-      : plan_(plan), inputs_(inputs), order_origins_(order_origins) {}
+  PlanBuilder(ReplayPlan& plan, const ReplayPlanInputs& inputs)
+      : plan_(plan), inputs_(inputs) {}
 
+  void Add(const OrderedRecord& rec) {
+    ++plan_.records_scanned;
+    if (const auto* creation = std::get_if<CreationRecord>(&rec.record)) {
+      OnCreation(rec.lsn, rec.order, *creation);
+    } else if (const auto* incoming =
+                   std::get_if<IncomingCallRecord>(&rec.record)) {
+      OnIncoming(rec.lsn, rec.order, *incoming);
+    } else if (const auto* reply =
+                   std::get_if<ReplyReceivedRecord>(&rec.record)) {
+      OnReply(rec.lsn, *reply);
+    }
+    // Other record types were pass 1's business.
+  }
+
+ private:
   void OnCreation(uint64_t lsn, uint64_t order, const CreationRecord& rec) {
     // Only the origin creation record opens a chain; newer duplicates
     // (re-creations appended by a previous recovery) replay nothing.
-    if (order_origins_) {
-      auto it = inputs_.origin_orders.find(rec.context_id);
-      if (it == inputs_.origin_orders.end() || it->second == kInvalidLsn ||
-          order != it->second) {
-        return;
-      }
-    } else {
-      auto it = inputs_.origins.find(rec.context_id);
-      if (it == inputs_.origins.end() || it->second == kInvalidLsn ||
-          lsn != it->second) {
-        return;
-      }
+    auto it = inputs_.origin_orders.find(rec.context_id);
+    if (it == inputs_.origin_orders.end() || it->second == kInvalidLsn ||
+        order != it->second) {
+      return;
     }
     PendingReplay unit;
     unit.is_creation = true;
@@ -104,20 +110,9 @@ class PlanBuilder {
 
   void OnIncoming(uint64_t lsn, uint64_t order,
                   const IncomingCallRecord& rec) {
-    if (order_origins_) {
-      if (inputs_.origins.find(rec.context_id) == inputs_.origins.end()) {
-        return;
-      }
-      auto it = inputs_.origin_orders.find(rec.context_id);
-      if (it != inputs_.origin_orders.end() && it->second != kInvalidLsn &&
-          order < it->second) {
-        return;
-      }
-    } else {
-      auto it = inputs_.origins.find(rec.context_id);
-      if (it == inputs_.origins.end()) return;
-      if (it->second != kInvalidLsn && lsn < it->second) return;
-    }
+    auto it = inputs_.origin_orders.find(rec.context_id);
+    if (it == inputs_.origin_orders.end()) return;
+    if (it->second != kInvalidLsn && order < it->second) return;
 
     PendingReplay unit;
     unit.start_lsn = lsn;
@@ -154,7 +149,6 @@ class PlanBuilder {
     }
   }
 
- private:
   // The chain's currently-open unit: the one whose execution covers this
   // point of the log (its last planned unit, units being closed only by the
   // context's next incoming call).
@@ -182,9 +176,6 @@ class PlanBuilder {
 
   ReplayPlan& plan_;
   const ReplayPlanInputs& inputs_;
-  // Sharded mode: below-origin filtering compares global sequence numbers
-  // (inputs.origin_orders) instead of LSNs.
-  bool order_origins_;
   std::map<uint64_t, uint32_t> chain_of_;  // context id -> chain index
 };
 
@@ -251,37 +242,87 @@ void DigestSalvageAndFinalize(ReplayPlan& plan,
   ComputeCosts(plan, replay_call_ms);
 }
 
+// Order of the record at an LSN; kInvalidLsn when it is unreadable.
+using OrderOfFn = std::function<uint64_t(uint64_t lsn)>;
+
+// Pass 1's replay-origin rules (RecoveryManager::PassOne) for one record:
+// newest state record per context, else first creation record, refined by
+// checkpoint context entries. All of a context's origin candidates share
+// one shard, so their LSNs compare.
+void NoteOrigin(const OrderedRecord& rec, const OrderOfFn& order_of,
+                std::map<uint64_t, uint64_t>* origins,
+                std::map<uint64_t, uint64_t>* orders) {
+  auto set = [&](uint64_t context_id, uint64_t lsn, uint64_t order) {
+    (*origins)[context_id] = lsn;
+    (*orders)[context_id] = order;
+  };
+  if (const auto* e = std::get_if<CheckpointContextEntryRecord>(&rec.record)) {
+    auto it = origins->find(e->context_id);
+    if (it == origins->end() || it->second == kInvalidLsn ||
+        (e->recovery_lsn != kInvalidLsn && e->recovery_lsn > it->second)) {
+      set(e->context_id, e->recovery_lsn, order_of(e->recovery_lsn));
+    }
+  } else if (const auto* c = std::get_if<CreationRecord>(&rec.record)) {
+    auto it = origins->find(c->context_id);
+    if (it == origins->end() || it->second == kInvalidLsn) {
+      set(c->context_id, rec.lsn, rec.order);
+    }
+  } else if (const auto* s = std::get_if<ContextStateRecord>(&rec.record)) {
+    set(s->context_id, rec.lsn, rec.order);
+  }
+}
+
+// The activator context always recovers by replay from the scan start. It
+// has no origin record, so only its order is known.
+void NoteActivatorOrigin(uint64_t start_order,
+                         std::map<uint64_t, uint64_t>* origins,
+                         std::map<uint64_t, uint64_t>* orders) {
+  origins->try_emplace(0, kInvalidLsn);
+  auto [it, inserted] = orders->try_emplace(0, start_order);
+  if (it->second == kInvalidLsn) it->second = start_order;
+}
+
+void DeriveOrigins(OrderedLogCursor& cursor, uint64_t start_order,
+                   const OrderOfFn& order_of,
+                   std::map<uint64_t, uint64_t>* origins,
+                   std::map<uint64_t, uint64_t>* orders) {
+  while (std::optional<OrderedRecord> rec = cursor.Next()) {
+    NoteOrigin(*rec, order_of, origins, orders);
+  }
+  NoteActivatorOrigin(start_order, origins, orders);
+}
+
 }  // namespace
+
+ReplayPlan BuildReplayPlan(OrderedLogCursor& cursor,
+                           const ReplayPlanInputs& inputs) {
+  ReplayPlan plan;
+  PlanBuilder builder(plan, inputs);
+  while (std::optional<OrderedRecord> rec = cursor.Next()) builder.Add(*rec);
+  DigestSalvageAndFinalize(plan, cursor.gaps(), inputs.replay_call_ms);
+  return plan;
+}
+
+ReplayPlan PlanLogReplay(const LogManager& log, ReplayPlanInputs inputs) {
+  OrderedLogCursor origins_scan(log, log.head_order());
+  DeriveOrigins(
+      origins_scan, log.head_order(),
+      [&log](uint64_t lsn) {
+        Result<uint64_t> order = log.OrderOfRecordAt(lsn);
+        return order.ok() ? *order : kInvalidLsn;
+      },
+      &inputs.origins, &inputs.origin_orders);
+  // The activator's origin is the log head, the smallest origin order.
+  OrderedLogCursor cursor(log, log.head_order());
+  return BuildReplayPlan(cursor, inputs);
+}
 
 ReplayPlan BuildReplayPlan(const LogView& log, uint64_t scan_start,
                            const ReplayPlanInputs& inputs) {
-  ReplayPlan plan;
-  PlanBuilder builder(plan, inputs, /*order_origins=*/false);
-
-  LogReader reader(log, scan_start);
-  reader.EnableSalvage();
-  while (auto parsed = reader.Next()) {
-    ++plan.records_scanned;
-    uint64_t lsn = parsed->lsn;
-    if (const auto* creation = std::get_if<CreationRecord>(&parsed->record)) {
-      builder.OnCreation(lsn, /*order=*/lsn, *creation);
-    } else if (const auto* incoming =
-                   std::get_if<IncomingCallRecord>(&parsed->record)) {
-      builder.OnIncoming(lsn, /*order=*/lsn, *incoming);
-    } else if (const auto* reply =
-                   std::get_if<ReplyReceivedRecord>(&parsed->record)) {
-      builder.OnReply(lsn, *reply);
-    }
-    // Other record types were pass 1's business.
-  }
-
-  std::vector<SkippedRange> gaps = reader.skipped_ranges();
-  if (reader.tail_torn()) {
-    gaps.push_back(SkippedRange{reader.torn_offset(),
-                                log.base + (log.bytes ? log.bytes->size() : 0)});
-  }
-  DigestSalvageAndFinalize(plan, gaps, inputs.replay_call_ms);
-  return plan;
+  ReplayPlanInputs single = inputs;
+  single.origin_orders = inputs.origins;
+  OrderedLogCursor cursor({log}, scan_start);
+  return BuildReplayPlan(cursor, single);
 }
 
 ReplayPlan BuildReplayPlanFromRecords(const std::vector<OrderedRecord>& records,
@@ -289,52 +330,25 @@ ReplayPlan BuildReplayPlanFromRecords(const std::vector<OrderedRecord>& records,
                                       uint64_t start_order,
                                       const ReplayPlanInputs& inputs) {
   ReplayPlan plan;
-  PlanBuilder builder(plan, inputs, /*order_origins=*/true);
-
+  PlanBuilder builder(plan, inputs);
   for (const OrderedRecord& rec : records) {
-    if (rec.order < start_order) continue;
-    ++plan.records_scanned;
-    if (const auto* creation = std::get_if<CreationRecord>(&rec.record)) {
-      builder.OnCreation(rec.lsn, rec.order, *creation);
-    } else if (const auto* incoming =
-                   std::get_if<IncomingCallRecord>(&rec.record)) {
-      builder.OnIncoming(rec.lsn, rec.order, *incoming);
-    } else if (const auto* reply =
-                   std::get_if<ReplyReceivedRecord>(&rec.record)) {
-      builder.OnReply(rec.lsn, *reply);
-    }
+    if (rec.order >= start_order) builder.Add(rec);
   }
-
   DigestSalvageAndFinalize(plan, gaps, inputs.replay_call_ms);
   return plan;
 }
 
 std::map<uint64_t, uint64_t> DeriveReplayOrigins(const LogView& log,
                                                  uint64_t scan_start) {
+  // On a single log every origin's order is its LSN, and the orders also
+  // hold the activator's origin: the scan start.
   std::map<uint64_t, uint64_t> origins;
-  LogReader reader(log, scan_start);
-  reader.EnableSalvage();
-  while (auto parsed = reader.Next()) {
-    uint64_t lsn = parsed->lsn;
-    if (const auto* e =
-            std::get_if<CheckpointContextEntryRecord>(&parsed->record)) {
-      auto [it, inserted] = origins.try_emplace(e->context_id, kInvalidLsn);
-      if (it->second == kInvalidLsn ||
-          (e->recovery_lsn != kInvalidLsn && e->recovery_lsn > it->second)) {
-        it->second = e->recovery_lsn;
-      }
-    } else if (const auto* c = std::get_if<CreationRecord>(&parsed->record)) {
-      auto [it, inserted] = origins.try_emplace(c->context_id, lsn);
-      if (it->second == kInvalidLsn) it->second = lsn;
-    } else if (const auto* s =
-                   std::get_if<ContextStateRecord>(&parsed->record)) {
-      origins[s->context_id] = lsn;
-    }
-  }
-  // The activator context always recovers by replay from the scan start.
-  auto [it, inserted] = origins.try_emplace(0, scan_start);
-  if (it->second == kInvalidLsn) it->second = scan_start;
-  return origins;
+  std::map<uint64_t, uint64_t> orders;
+  OrderedLogCursor cursor({log}, scan_start);
+  DeriveOrigins(
+      cursor, scan_start, [](uint64_t lsn) { return lsn; }, &origins,
+      &orders);
+  return orders;
 }
 
 void DeriveReplayOriginsFromRecords(
@@ -343,45 +357,15 @@ void DeriveReplayOriginsFromRecords(
     std::map<uint64_t, uint64_t>* origin_orders) {
   std::map<uint64_t, uint64_t> order_of;
   for (const OrderedRecord& rec : records) order_of[rec.lsn] = rec.order;
-  auto order_or_invalid = [&order_of](uint64_t lsn) {
+  auto lookup = [&order_of](uint64_t lsn) {
     auto it = order_of.find(lsn);
     return it == order_of.end() ? kInvalidLsn : it->second;
   };
-  auto set = [&](uint64_t context_id, uint64_t lsn, uint64_t order) {
-    (*origins)[context_id] = lsn;
-    (*origin_orders)[context_id] = order;
-  };
   for (const OrderedRecord& rec : records) {
-    if (const auto* e =
-            std::get_if<CheckpointContextEntryRecord>(&rec.record)) {
-      uint64_t entry_order = e->recovery_lsn == kInvalidLsn
-                                 ? kInvalidLsn
-                                 : order_or_invalid(e->recovery_lsn);
-      auto it = origins->find(e->context_id);
-      if (it == origins->end()) {
-        set(e->context_id, e->recovery_lsn, entry_order);
-      } else if (it->second == kInvalidLsn ||
-                 (entry_order != kInvalidLsn &&
-                  ((*origin_orders)[e->context_id] == kInvalidLsn ||
-                   entry_order > (*origin_orders)[e->context_id]))) {
-        set(e->context_id, e->recovery_lsn, entry_order);
-      }
-    } else if (const auto* c = std::get_if<CreationRecord>(&rec.record)) {
-      auto it = origins->find(c->context_id);
-      if (it == origins->end() || it->second == kInvalidLsn) {
-        set(c->context_id, rec.lsn, rec.order);
-      }
-    } else if (const auto* s = std::get_if<ContextStateRecord>(&rec.record)) {
-      set(s->context_id, rec.lsn, rec.order);
-    }
+    NoteOrigin(rec, lookup, origins, origin_orders);
   }
-  // The activator context always recovers by replay from the scan start.
-  uint64_t start_lsn = records.empty() ? kInvalidLsn : records.front().lsn;
-  uint64_t start_order = records.empty() ? 0 : records.front().order;
-  auto it = origins->find(0);
-  if (it == origins->end() || it->second == kInvalidLsn) {
-    set(0, start_lsn, start_order);
-  }
+  NoteActivatorOrigin(records.empty() ? 0 : records.front().order, origins,
+                      origin_orders);
 }
 
 }  // namespace phoenix

@@ -14,8 +14,8 @@
 
 namespace phoenix {
 
-// Log-analysis replay planning: one forward scan of the stable log that
-// partitions the message records into per-context replay *chains* and links
+// Log-analysis replay planning: one forward scan of the log in append order
+// (an OrderedLogCursor, whatever the shard layout) that partitions the message records into per-context replay *chains* and links
 // them with cross-chain dependency edges, so pass 2 of recovery can execute
 // independent chains as overlapping scheduler sessions instead of walking
 // the whole log serially (cf. dependency-aware parallel redo in Wu et al.
@@ -34,7 +34,7 @@ namespace phoenix {
 // caller component id, and component id == the caller's context id), the
 // planner adds one edge from A's unit that was open at that point in the
 // log (the unit whose execution issued the call) to B's new unit. Edges
-// therefore always point from a smaller start-LSN unit to a larger one —
+// therefore always point from a smaller-order unit to a larger one —
 // the plan is a DAG by construction, and the edge order coincides with the
 // order the sequential replayer flushes those units. Calls from external
 // clients or from remote processes add no edge: their effects reach this
@@ -132,57 +132,59 @@ struct ReplayPlanInputs {
   // machine + logical pid come from a local context and produce edges.
   std::string machine;
   uint32_t process_id = 0;
-  // Replay origin LSN per context (pass 1's recovery LSNs): records below a
-  // context's origin are covered by its restored state and are not planned.
-  // Contexts absent from the map are ignored entirely.
+  // Replay origin per context (pass 1's recovery LSNs), and the order of
+  // each origin record; both maps carry the same contexts, and on a single
+  // log an origin's order is its LSN. Records ordered below a context's
+  // origin are covered by its restored state and are not planned; the
+  // comparison uses the order, because composite LSNs of different shards
+  // compare by shard id, not by append order. A context mapped to
+  // kInvalidLsn is planned without a below-origin cut; contexts absent from
+  // the maps are ignored entirely.
   std::map<uint64_t, uint64_t> origins;
-  // Sharded WALs only (BuildReplayPlanFromRecords): the global sequence
-  // number of each context's origin record. Composite LSNs of different
-  // shards are not comparable, so the record-stream planner filters by
-  // order instead of LSN. A context present in `origins` but absent here
-  // (or mapped to kInvalidLsn) is planned without a below-origin cut.
   std::map<uint64_t, uint64_t> origin_orders;
   // Modelled cost of replaying one unit (CostModel::recovery_replay_call_ms)
   // for the critical-path estimate.
   double replay_call_ms = 0.13;
 };
 
-// Scans `log` once from `scan_start` (salvage-tolerant) and builds the
-// chain/edge plan. Pure analysis: never touches the clock, the process or
-// any component. Mid-scan damage no longer aborts planning: the scan
-// salvages past it and demotes only the chains whose unit extents the
-// damage intersected (fallback = kSalvagedLog only when fewer than two
-// eligible chains survive).
-ReplayPlan BuildReplayPlan(const LogView& log, uint64_t scan_start,
+// The planner: drains `cursor` (wal/merged_log_reader.h), planning every
+// record it yields, and digests the damage it reports as salvage gaps. Pure
+// analysis: never touches the clock, the process or any component.
+// Mid-scan damage does not abort planning: the scan salvages past it and
+// demotes only the chains whose unit extents the damage intersected
+// (fallback = kSalvagedLog only when fewer than two eligible chains
+// survive).
+ReplayPlan BuildReplayPlan(OrderedLogCursor& cursor,
                            const ReplayPlanInputs& inputs);
 
-// Sharded-WAL planner: consumes an already-merged record stream
-// (wal/merged_log_reader.h) instead of scanning a single log. Records with
-// order < start_order are ignored (they precede the published checkpoint);
-// `gaps` carries the per-shard salvage damage in composite coordinates
-// (skipped ranges plus torn tails widened to each shard's stable end), so
-// the same per-chain demotion rule applies — composite coordinates make a
-// gap on shard j provably disjoint from every extent on shard k != j.
-// Chain and edge semantics are identical to BuildReplayPlan; all ordering
-// (topological cost order, demoted-unit serialization) keys on the global
-// sequence number.
+// The plan a crash recovery of `log`'s stable image would replay right now,
+// for tools and tests that have no RecoveryManager at hand: replay origins
+// derived over the whole retained log with pass 1's rules (newest state
+// record per context, else first creation record, refined by checkpoint
+// context entries), then one planning scan of the same range (the
+// activator's origin is the log head).
+// `inputs` supplies the process identity and cost; its origin maps are
+// filled here.
+ReplayPlan PlanLogReplay(const LogManager& log, ReplayPlanInputs inputs);
+
+// Entry points over a single log image or an already-merged record stream,
+// onto the same planner and origin rules.
+//
+// Single log from `scan_start`; every origin's order is its LSN, so
+// inputs.origin_orders is ignored.
+ReplayPlan BuildReplayPlan(const LogView& log, uint64_t scan_start,
+                           const ReplayPlanInputs& inputs);
+// Records ordered below `start_order` are ignored; `gaps` are the stream's
+// salvage gaps in composite coordinates (OrderedLogCursor::gaps()).
 ReplayPlan BuildReplayPlanFromRecords(const std::vector<OrderedRecord>& records,
                                       const std::vector<SkippedRange>& gaps,
                                       uint64_t start_order,
                                       const ReplayPlanInputs& inputs);
-
-// Replicates pass 1's replay-origin bookkeeping for callers that have no
-// RecoveryManager at hand (tools, tests): newest state record per context,
-// else first creation record, refined by checkpoint context entries.
+// Replay origins of a single log scanned from `scan_start`.
 std::map<uint64_t, uint64_t> DeriveReplayOrigins(const LogView& log,
                                                  uint64_t scan_start);
-
-// Merged-stream variant for sharded WALs (tools, tests): the same
-// bookkeeping over an ordered record stream, filling both the composite-LSN
-// origins and their global-sequence orders (ReplayPlanInputs::origin_orders).
-// Upgrade comparisons run in order space — composite LSNs of different
-// shards are not comparable. A checkpoint entry whose recovery LSN is not in
-// `records` (trimmed below a shard head) never displaces a known origin.
+// Replay origins of a merged record stream, with their orders. A
+// checkpoint entry's origin order is looked up in `records`.
 void DeriveReplayOriginsFromRecords(
     const std::vector<OrderedRecord>& records,
     std::map<uint64_t, uint64_t>* origins,

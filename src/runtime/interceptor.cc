@@ -496,7 +496,7 @@ Result<ReplyMessage> Context::SendWithRetry(CallMessage msg) {
   Simulation* sim = proc->simulation();
   const RuntimeOptions& opts = sim->options();
 
-  RetryBackoff backoff(opts);
+  RetryBackoff backoff(opts.call_retry);
   for (int attempt = 0; attempt <= opts.max_call_retries; ++attempt) {
     // Every attempt may externalize state: once the message leaves this
     // process, the bytes forced so far are observable by the outside world

@@ -231,11 +231,9 @@ void Process::Start() {
     // resume inside the old manager's commit pipeline.
     zombie_logs_.push_back(std::move(log_));
   }
-  uint32_t shards = std::min<uint32_t>(
-      std::max<uint32_t>(sim->options().wal_shards, 1), 64);
   log_ = std::make_unique<LogManager>(log_name(), &sim->storage(),
                                       &machine_->disk(), &sim->clock(),
-                                      &sim->costs(), shards,
+                                      &sim->costs(), sim->options().wal_shards,
                                       sim->options().wal_shard_seed);
   // The registry-backed log series survive this restart (the LogManager's
   // own per-instance stats do not).

@@ -10,6 +10,7 @@
 #include "recovery/checkpoint_manager.h"
 #include "runtime/context.h"
 #include "runtime/process.h"
+#include "wal/shard_router.h"
 
 namespace phoenix {
 
@@ -18,6 +19,12 @@ Simulation::Simulation(RuntimeOptions options, SimulationParams params)
       params_(params),
       injector_(),
       network_(params_.network) {
+  // A configuration that cannot work fails here, naming the field, instead
+  // of being clamped into something else.
+  PHX_CHECK(options_.wal_shards >= 1 && options_.wal_shards <= kMaxWalShards);
+  PHX_CHECK(options_.parallel_replay_sessions >= 1);
+  PHX_CHECK(options_.async_checkpoint_interval >= 1);
+  PHX_CHECK(options_.recovery_supervisor_attempts_per_rung >= 1);
   network_.SeedFaults(params_.seed * 6271 + 17);
   retry_rng_ = Random(params_.seed * 9973 + 29);
   tracer_.set_enabled(params_.trace_enabled);
@@ -299,7 +306,7 @@ void Simulation::RunSessions(std::vector<std::function<void()>> sessions) {
         --*remaining;
       };
     }
-    uint32_t interval = std::max<uint32_t>(1, options_.async_checkpoint_interval);
+    uint32_t interval = options_.async_checkpoint_interval;
     for (const auto& [name, machine] : machines_) {
       for (const auto& [pid, process] : machine->processes()) {
         Process* proc = process.get();

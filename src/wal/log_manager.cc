@@ -13,11 +13,12 @@ LogManager::LogManager(std::string log_name, StableStorage* storage,
       disk_(disk),
       clock_(clock),
       costs_(costs),
-      shard_count_(shard_count == 0 ? 1 : shard_count),
+      shard_count_(shard_count),
       router_(shard_count_, shard_seed),
       writer_(log_name, storage, disk, clock),
       pipeline_(&writer_, clock, costs),
       well_known_name_(log_name + ".wkf") {
+  PHX_CHECK(shard_count_ >= 1 && shard_count_ <= kMaxWalShards);
   for (uint32_t s = 1; s < shard_count_; ++s) {
     extra_shards_.push_back(std::make_unique<ExtraShard>(
         StrCat(log_name, ".s", s), storage, disk, clock, costs));

@@ -122,6 +122,10 @@ class LogManager {
   // point). Shard 0; per-shard bases are shard-local.
   uint64_t head_base() const;
   uint64_t shard_head_base(uint32_t shard) const;
+  // Order cut that covers the whole retained log: the head base on a single
+  // log (where a record's order is its LSN), 0 on a sharded one (every gsn
+  // is at least 1).
+  uint64_t head_order() const { return sharded() ? 0 : head_base(); }
 
   // Garbage collection: drops every record before `lsn`. Callers (the
   // checkpoint manager) must only pass LSNs no recovery can need — below

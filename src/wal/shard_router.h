@@ -41,6 +41,10 @@ inline uint32_t ShardOfLsn(uint64_t lsn) {
 
 inline uint64_t LocalOfLsn(uint64_t lsn) { return lsn & kShardLocalMask; }
 
+// Most shard logs one process may have: the width of the per-chain
+// touched-shard bitmask (runtime/process.h).
+inline constexpr uint32_t kMaxWalShards = 64;
+
 // --- context -> shard routing ---------------------------------------------
 //
 // Deterministic seeded router from the replay-plan chain key (the context

@@ -103,7 +103,7 @@ TEST_F(NetworkFaultsTest, DropTriggerFiresOnNthMessageOnly) {
 
 TEST_F(NetworkFaultsTest, RetryBudgetBoundsCallerOnDeadLink) {
   RuntimeOptions opts;
-  opts.call_retry_budget_ms = 100.0;
+  opts.call_retry.budget_ms = 100.0;
   SetUpSim(opts);
   LinkFaults dead;
   dead.drop_p = 1.0;

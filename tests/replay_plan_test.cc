@@ -50,20 +50,13 @@ Workload BuildWorkload(Simulation* sim, Process* proc) {
   return Workload{*leaf, *mid, *solo};
 }
 
-// The same plan construction the recovery manager and phoenix_trace --plan
-// perform, from a process's stable log.
+// The plan phoenix_trace --plan shows: what a crash recovery of the
+// process's stable log would replay right now.
 ReplayPlan PlanFor(Process& proc) {
-  LogView view = proc.log().StableView();
   ReplayPlanInputs inputs;
   inputs.machine = proc.machine_name();
   inputs.process_id = proc.pid();
-  inputs.origins = DeriveReplayOrigins(view, proc.log().head_base());
-  uint64_t scan_start = kInvalidLsn;
-  for (const auto& [context_id, origin] : inputs.origins) {
-    if (origin != kInvalidLsn) scan_start = std::min(scan_start, origin);
-  }
-  if (scan_start == kInvalidLsn) scan_start = proc.log().head_base();
-  return BuildReplayPlan(view, scan_start, inputs);
+  return PlanLogReplay(proc.log(), std::move(inputs));
 }
 
 // Structural fingerprint: everything that determines parallel execution.
@@ -102,21 +95,27 @@ class ReplayPlanTest : public ::testing::Test {
   Process* proc_ = nullptr;
 };
 
-TEST_F(ReplayPlanTest, SameSeedRunsProduceIdenticalPlans) {
-  BuildWorkload(sim_.get(), proc_);
-  std::string first = Describe(PlanFor(*proc_));
-
+// The workload's plan on a fresh seed-42 simulation with `shards` WAL
+// shards.
+std::string PlanOfWorkload(uint32_t shards) {
+  RuntimeOptions options;
+  options.wal_shards = shards;
   SimulationParams params;
   params.seed = 42;
-  Simulation rerun(RuntimeOptions{}, params);
-  RegisterTestComponents(rerun.factories());
-  Machine& alpha2 = rerun.AddMachine("alpha");
-  Process& proc2 = alpha2.CreateProcess();
-  BuildWorkload(&rerun, &proc2);
-  std::string second = Describe(PlanFor(proc2));
+  Simulation sim(options, params);
+  RegisterTestComponents(sim.factories());
+  Machine& alpha = sim.AddMachine("alpha");
+  Process& proc = alpha.CreateProcess();
+  BuildWorkload(&sim, &proc);
+  return Describe(PlanFor(proc));
+}
 
-  EXPECT_EQ(first, second);
-  EXPECT_NE(first.find("cross_edges="), std::string::npos);
+TEST_F(ReplayPlanTest, SameSeedRunsProduceIdenticalPlans) {
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    std::string first = PlanOfWorkload(shards);
+    EXPECT_EQ(first, PlanOfWorkload(shards)) << shards << " shard(s)";
+    EXPECT_NE(first.find("cross_edges="), std::string::npos);
+  }
 }
 
 TEST_F(ReplayPlanTest, PlanIsAnAcyclicForwardDag) {

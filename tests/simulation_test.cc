@@ -1,9 +1,11 @@
 // Transport/topology-level behavior: routing, network accounting, aggregate
-// statistics, and the execution-context stack.
+// statistics, the execution-context stack, and configurations that cannot
+// work failing loudly.
 
 #include <gtest/gtest.h>
 
 #include "tests/test_components.h"
+#include "wal/shard_router.h"
 
 namespace phoenix {
 namespace {
@@ -129,6 +131,37 @@ TEST(SimulationTest, DuplicateMachineNameAborts) {
   Simulation sim;
   sim.AddMachine("alpha");
   EXPECT_DEATH(sim.AddMachine("alpha"), "PHX_CHECK");
+}
+
+// Each invalid option aborts the constructor with a check that names it,
+// instead of being clamped into some other configuration.
+void ConstructWith(void (*set)(RuntimeOptions&)) {
+  RuntimeOptions options;
+  set(options);
+  Simulation sim(options);
+}
+
+TEST(SimulationTest, InvalidOptionsAbortNamingTheField) {
+  EXPECT_DEATH(ConstructWith([](RuntimeOptions& o) { o.wal_shards = 0; }),
+               "wal_shards");
+  EXPECT_DEATH(ConstructWith([](RuntimeOptions& o) {
+                 o.wal_shards = kMaxWalShards + 1;
+               }),
+               "wal_shards");
+  EXPECT_DEATH(ConstructWith([](RuntimeOptions& o) {
+                 o.parallel_replay_sessions = 0;
+               }),
+               "parallel_replay_sessions");
+  EXPECT_DEATH(ConstructWith([](RuntimeOptions& o) {
+                 o.async_checkpoint_interval = 0;
+               }),
+               "async_checkpoint_interval");
+  EXPECT_DEATH(ConstructWith([](RuntimeOptions& o) {
+                 o.recovery_supervisor_attempts_per_rung = 0;
+               }),
+               "recovery_supervisor_attempts_per_rung");
+  // The bounds themselves are valid.
+  ConstructWith([](RuntimeOptions& o) { o.wal_shards = kMaxWalShards; });
 }
 
 TEST(SimulationTest, BusyContextRejectsReentrantCall) {

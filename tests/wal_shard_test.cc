@@ -1,11 +1,13 @@
 // Sharded WAL (RuntimeOptions.wal_shards > 1): the deterministic
 // context->shard router, per-shard durability horizons, crash semantics of
-// independent shard buffers, the gsn-ordered recovery merge, and per-shard
-// torn-tail salvage.
+// independent shard buffers, the ordered log cursor (a plain reader on one
+// shard, the gsn-ordered merge on several), recovery on every layout, and
+// per-shard torn-tail salvage.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -165,6 +167,46 @@ TEST_F(WalShardTest, MergedScanEqualsSingleLogAppendOrder) {
   }
 }
 
+std::vector<uint8_t> Encoded(const LogRecord& record) {
+  Encoder enc;
+  EncodeLogRecord(record, enc);
+  return enc.Release();
+}
+
+TEST(OrderedLogCursorTest, OneShardIsAPlainLogReaderFromTheCut) {
+  StableStorage storage;
+  DiskModel disk(DiskParams{}, 1);
+  SimClock clock;
+  CostModel costs;
+  LogManager log("m/p1.log", &storage, &disk, &clock, &costs);
+  std::vector<uint64_t> lsns;
+  for (int i = 0; i < 12; ++i) {
+    lsns.push_back(log.Append(LogRecord(Incoming(
+        static_cast<uint64_t>(i % 3), "m" + std::to_string(i)))));
+  }
+  log.Force();
+
+  // Started from an LSN cut, the cursor yields exactly LogReader's
+  // (lsn, record) sequence, with order == lsn and no gsn prefix.
+  uint64_t cut = lsns[5];
+  LogReader reader(log.StableView(), cut);
+  OrderedLogCursor cursor(log, cut);
+  size_t yielded = 0;
+  while (std::optional<ParsedRecord> parsed = reader.Next()) {
+    std::optional<OrderedRecord> rec = cursor.Next();
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->lsn, parsed->lsn);
+    EXPECT_EQ(rec->order, parsed->lsn);
+    EXPECT_EQ(rec->shard, 0u);
+    EXPECT_EQ(Encoded(rec->record), Encoded(parsed->record));
+    ++yielded;
+  }
+  EXPECT_FALSE(cursor.Next().has_value());
+  EXPECT_EQ(yielded, 7u);
+  EXPECT_TRUE(cursor.damage().empty());
+  EXPECT_EQ(cursor.records_read(), 7u);  // the bytes below the cut: unread
+}
+
 TEST_F(WalShardTest, TornTailOnOneShardLeavesOthersUntouched) {
   AppendAcrossShards(16, "x");
   manager_.Force();
@@ -246,8 +288,8 @@ TEST_F(ShardedRecoveryTest, StateSurvivesCrashViaMergedReplay) {
 }
 
 TEST_F(ShardedRecoveryTest, ShardedRecoveryMatchesSingleLogTwin) {
-  // Same workload, same crash, under 1 and 4 shards: the recovered states
-  // must agree.
+  // Same workload, same crash, under 1, 2 and 4 shards: the recovered
+  // states must agree.
   auto run = [](uint32_t shards) -> std::vector<int64_t> {
     RuntimeOptions opts;
     opts.wal_shards = shards;
@@ -279,7 +321,92 @@ TEST_F(ShardedRecoveryTest, ShardedRecoveryMatchesSingleLogTwin) {
     }
     return values;
   };
-  EXPECT_EQ(run(1), run(4));
+  std::vector<int64_t> single = run(1);
+  EXPECT_EQ(single, (std::vector<int64_t>{10, 10, 10}));
+  for (uint32_t shards : {2u, 4u}) {
+    EXPECT_EQ(run(shards), single) << shards << " shards";
+  }
+}
+
+TEST_F(ShardedRecoveryTest, DamageBelowTheCheckpointCutIsNotReported) {
+  // The single log's rule on every layout: salvage assessment probes from
+  // the published checkpoint, so a bad record below it goes unreported,
+  // while one above it forces a full scan.
+  for (bool above_cut : {false, true}) {
+    for (uint32_t shards : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << shards << " shard(s), damage "
+                                        << (above_cut ? "above" : "below")
+                                        << " the cut");
+      SetUpSim(shards);
+      ExternalClient client(sim_.get(), "alpha");
+      std::vector<std::string> uris;
+      for (int c = 0; c < 3; ++c) {
+        auto uri = client.CreateComponent(*proc_, "Counter",
+                                          "c" + std::to_string(c),
+                                          ComponentKind::kPersistent, {});
+        ASSERT_TRUE(uri.ok());
+        uris.push_back(*uri);
+      }
+      auto add_to_all = [&](int amount) {
+        for (const std::string& uri : uris) {
+          ASSERT_TRUE(client.Call(uri, "Add", MakeArgs(amount)).ok());
+        }
+      };
+      add_to_all(1);
+      add_to_all(2);
+      // Every context's origin becomes a state record below the cut.
+      for (int c = 0; c < 3; ++c) {
+        Context* ctx = proc_->FindContextOfComponent("c" + std::to_string(c));
+        ASSERT_NE(ctx, nullptr);
+        ASSERT_TRUE(proc_->checkpoints().SaveContextState(*ctx).ok());
+      }
+      ASSERT_TRUE(proc_->checkpoints().TakeProcessCheckpoint().ok());
+      proc_->log().Force();
+      proc_->checkpoints().MaybePublishCheckpoint();
+      Result<uint64_t> wkf = proc_->log().ReadWellKnownLsn();
+      ASSERT_TRUE(wkf.ok());
+      add_to_all(3);
+      add_to_all(4);
+      uint64_t c0 = proc_->FindContextOfComponent("c0")->id();
+      proc_->Kill();
+
+      // Victim: c0's first incoming call on the chosen side of the cut.
+      // Above the cut, c0's next call follows it on the same shard, so the
+      // damage is a skipped range rather than a torn tail.
+      LogManager& log = proc_->log();
+      uint64_t cut = *log.OrderOfRecordAt(*wkf);
+      std::optional<OrderedRecord> victim;
+      OrderedLogCursor cursor(log, log.head_order());
+      while (std::optional<OrderedRecord> rec = cursor.Next()) {
+        const auto* incoming = std::get_if<IncomingCallRecord>(&rec->record);
+        if (incoming != nullptr && incoming->context_id == c0 &&
+            (rec->order > cut) == above_cut) {
+          victim = std::move(rec);
+          break;
+        }
+      }
+      ASSERT_TRUE(victim.has_value());
+      sim_->storage().CorruptLog(log.shard_log_name(victim->shard),
+                                 LocalOfLsn(victim->lsn) + 8,
+                                 /*flip_count=*/2);
+
+      ASSERT_TRUE(alpha_->recovery_service().EnsureProcessAlive(1).ok());
+      const obs::MetricsRegistry& m = sim_->metrics();
+      uint64_t reported = above_cut ? 1 : 0;
+      EXPECT_EQ(m.CounterTotal("phoenix.recovery.salvage.full_scan_fallback"),
+                reported);
+      EXPECT_EQ(m.CounterTotal("phoenix.recovery.salvage.ranges_skipped"),
+                reported);
+      if (!above_cut) {
+        // The lost call was covered by c0's state record.
+        for (const std::string& uri : uris) {
+          auto got = client.Call(uri, "Get", {});
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(got->AsInt(), 10);
+        }
+      }
+    }
+  }
 }
 
 TEST_F(ShardedRecoveryTest, PublishGateReadsMetaShardHorizonOnly) {

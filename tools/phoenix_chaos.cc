@@ -48,6 +48,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -56,7 +57,7 @@
 #include "common/random.h"
 #include "common/strings.h"
 #include "obs/bench_reporter.h"
-#include "wal/log_reader.h"
+#include "wal/merged_log_reader.h"
 
 namespace phoenix::tools {
 namespace {
@@ -284,47 +285,21 @@ Status ApplyStorageAttack(bool bitrot_state, bool bitrot_wkf, bool tear_shard,
   target_proc.Kill();
   const std::string log_name = target_proc.log_name();
   if (bitrot_state) {
+    // Find the newest readable state record in append order (on a sharded
+    // log: the gsn-newest, in whichever shard file holds it).
     const LogManager& log = target_proc.log();
-    if (log.sharded()) {
-      // Find the gsn-newest readable state record across all shard files.
-      uint32_t state_shard = 0;
-      uint64_t state_local = kInvalidLsn;
-      uint64_t best_order = 0;
-      bool found = false;
-      for (uint32_t s = 0; s < log.shard_count(); ++s) {
-        LogView view = log.ShardStableView(s);
-        LogReader reader(view, log.shard_head_base(s));
-        reader.EnableSalvage();
-        reader.EnableGsnPrefix();
-        while (auto parsed = reader.Next()) {
-          if (std::holds_alternative<ContextStateRecord>(parsed->record) &&
-              (!found || parsed->order > best_order)) {
-            found = true;
-            best_order = parsed->order;
-            state_shard = s;
-            state_local = parsed->lsn;
-          }
-        }
+    std::optional<OrderedRecord> newest;
+    OrderedLogCursor cursor(log, log.head_order());
+    while (std::optional<OrderedRecord> rec = cursor.Next()) {
+      if (std::holds_alternative<ContextStateRecord>(rec->record)) {
+        newest = std::move(rec);
       }
-      if (found) {
-        sim.storage().CorruptLog(log.shard_log_name(state_shard),
-                                 state_local + 8, /*flip_count=*/2);
-      }
-    } else {
-      // Find the newest readable context-state record in the stable image.
-      LogView view = log.StableView();
-      LogReader reader(view, log.head_base());
-      reader.EnableSalvage();
-      uint64_t state_lsn = kInvalidLsn;
-      while (auto parsed = reader.Next()) {
-        if (std::holds_alternative<ContextStateRecord>(parsed->record)) {
-          state_lsn = parsed->lsn;
-        }
-      }
-      if (state_lsn != kInvalidLsn) {
-        // +8 lands inside the payload, past the length/CRC header.
-        sim.storage().CorruptLog(log_name, state_lsn + 8, /*flip_count=*/2);
-      }
+    }
+    if (newest.has_value()) {
+      // +8 lands inside the payload, past the length/CRC header.
+      sim.storage().CorruptLog(log.shard_log_name(newest->shard),
+                               LocalOfLsn(newest->lsn) + 8,
+                               /*flip_count=*/2);
     }
   }
   if (bitrot_wkf) {
@@ -353,7 +328,7 @@ std::string RunOne(const RunConfig& cfg, int run, int sessions,
   // Condition 4 (retry until a response arrives) is what the exactly-once
   // oracle assumes; the per-call budget is an availability knob, so the
   // campaign runs unbounded.
-  runtime.call_retry_budget_ms = 0.0;
+  runtime.call_retry.budget_ms = 0.0;
   runtime.group_commit = cfg.group_commit;
   runtime.parallel_replay = cfg.parallel_replay;
 
@@ -742,7 +717,7 @@ std::string RunRecoveryCrashOne(const RecoveryCrashConfig& cfg, int run,
   RuntimeOptions runtime = bookstore::OptionsForLevel(cfg.level);
   runtime.save_context_state_every = cfg.save_every;
   runtime.process_checkpoint_every = cfg.checkpoint_every;
-  runtime.call_retry_budget_ms = 0.0;
+  runtime.call_retry.budget_ms = 0.0;
   runtime.parallel_replay = cfg.parallel_replay;
   runtime.inject_failures_during_recovery = inject;
 
@@ -1164,7 +1139,7 @@ std::string RunAsyncCheckpointOne(const AsyncCheckpointConfig& cfg, int run,
   runtime.async_checkpoint = true;
   runtime.async_checkpoint_interval = cfg.interval;
   runtime.group_commit = true;
-  runtime.call_retry_budget_ms = 0.0;
+  runtime.call_retry.budget_ms = 0.0;
   runtime.parallel_replay = cfg.parallel_replay;
 
   SimulationParams params;
@@ -1565,7 +1540,7 @@ std::string RunShardChaosOne(const ShardChaosConfig& cfg, int run,
   RuntimeOptions runtime = bookstore::OptionsForLevel(cfg.level);
   runtime.save_context_state_every = cfg.save_every;
   runtime.process_checkpoint_every = cfg.checkpoint_every;
-  runtime.call_retry_budget_ms = 0.0;
+  runtime.call_retry.budget_ms = 0.0;
   runtime.parallel_replay = cfg.parallel_replay;
   runtime.wal_shards = shards;
 
@@ -2037,6 +2012,10 @@ int Main(int argc, char** argv) {
   if (campaign.runs <= 0 || campaign.sessions <= 0 || campaign.overlap <= 0) {
     std::fprintf(stderr,
                  "--runs, --sessions and --overlap must be positive\n");
+    return 2;
+  }
+  if (campaign.wal_shards < 1 || campaign.wal_shards > kMaxWalShards) {
+    std::fprintf(stderr, "--wal-shards must be in 1..%u\n", kMaxWalShards);
     return 2;
   }
   if (campaign.wal_shards > 1) {

@@ -26,7 +26,6 @@
 //   phoenix_trace --crash=during_checkpoint:1 --flight-jsonl=crash.jsonl
 //   phoenix_trace --dump-trace=run.jsonl --component=server/1 --cat=log
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -40,7 +39,6 @@
 #include "recovery/checkpoint_manager.h"
 #include "recovery/replay_plan.h"
 #include "wal/log_dump.h"
-#include "wal/merged_log_reader.h"
 #include "wal/shard_router.h"
 
 namespace phoenix::tools {
@@ -228,7 +226,7 @@ int Run(const Options& opts) {
   runtime.process_checkpoint_every = opts.checkpoint_every;
   runtime.auto_truncate_log = opts.gc;
   runtime.multi_call_optimization = opts.multicall;
-  if (opts.wal_shards > 1) runtime.wal_shards = opts.wal_shards;
+  runtime.wal_shards = opts.wal_shards;
 
   SimulationParams params;
   params.trace_enabled =
@@ -300,47 +298,12 @@ int Run(const Options& opts) {
     if (opts.plan) {
       // Build the same plan the parallel replayer would build for a crash
       // right now, and pin its chain/edge view to the records that open
-      // replay units. Sharded logs plan over the gsn-merged record stream,
-      // so the annotations key on composite LSNs and land on the matching
-      // per-shard lines.
+      // replay units. On a sharded log those are composite LSNs, so the
+      // annotations land on the matching per-shard lines.
       ReplayPlanInputs inputs;
       inputs.machine = proc.machine_name();
       inputs.process_id = proc.pid();
-      ReplayPlan plan;
-      if (sharded) {
-        MergedLogScan merged = ScanShardedLog(proc.log());
-        DeriveReplayOriginsFromRecords(merged.records, &inputs.origins,
-                                       &inputs.origin_orders);
-        uint64_t scan_start = kInvalidLsn;
-        for (const auto& [context_id, order] : inputs.origin_orders) {
-          if (order != kInvalidLsn) scan_start = std::min(scan_start, order);
-        }
-        if (scan_start == kInvalidLsn) scan_start = 0;
-        std::vector<SkippedRange> gaps;
-        for (const ShardDamage& damage : merged.damage) {
-          for (const SkippedRange& range : damage.skipped) {
-            gaps.push_back(range);
-          }
-          if (damage.tail_torn) {
-            gaps.push_back(SkippedRange{
-                damage.torn_offset,
-                MakeShardLsn(damage.shard,
-                             proc.log().shard_stable_end(damage.shard))});
-          }
-        }
-        plan =
-            BuildReplayPlanFromRecords(merged.records, gaps, scan_start,
-                                       inputs);
-      } else {
-        LogView view = proc.log().StableView();
-        inputs.origins = DeriveReplayOrigins(view, proc.log().head_base());
-        uint64_t scan_start = kInvalidLsn;
-        for (const auto& [context_id, origin] : inputs.origins) {
-          if (origin != kInvalidLsn) scan_start = std::min(scan_start, origin);
-        }
-        if (scan_start == kInvalidLsn) scan_start = proc.log().head_base();
-        plan = BuildReplayPlan(view, scan_start, inputs);
-      }
+      ReplayPlan plan = PlanLogReplay(proc.log(), std::move(inputs));
       for (uint32_t c = 0; c < plan.chains.size(); ++c) {
         const ReplayChain& chain = plan.chains[c];
         for (uint32_t u = 0; u < chain.units.size(); ++u) {
@@ -510,6 +473,10 @@ int Main(int argc, char** argv) {
     } else {
       return Usage(argv[0]);
     }
+  }
+  if (opts.wal_shards < 1 || opts.wal_shards > kMaxWalShards) {
+    std::fprintf(stderr, "--wal-shards must be in 1..%u\n", kMaxWalShards);
+    return 2;
   }
   if (!opts.dump_trace.empty()) return DumpTrace(opts);
   return Run(opts);
