@@ -19,7 +19,8 @@ namespace phoenix::bench {
 namespace {
 
 // Adds the recovery-phase counters this bench is about on top of the
-// standard capture.
+// standard capture; restore_makespan_ms is the redo phase's share of
+// recovery_ms (summed over recoveries).
 void CaptureRecovery(obs::BenchVariant& variant, Simulation& sim,
                      double recovery_ms) {
   sim.CaptureBench(variant);
@@ -30,6 +31,10 @@ void CaptureRecovery(obs::BenchVariant& variant, Simulation& sim,
   variant.SetMetric(
       "calls_replayed",
       sim.metrics().CounterTotal("phoenix.recovery.calls_replayed"));
+  variant.SetMetric("restore_makespan_ms",
+                    sim.metrics()
+                        .MergedHistogram("phoenix.recovery.restore.makespan_ms")
+                        .sum());
 }
 
 // Recovery time (simulated ms) after `calls` calls issued *after* the

@@ -89,6 +89,8 @@ const MetricMeta* DefaultMetricMeta(const std::string& metric) {
       {"group_batch_max", {"count", MetricDirection::kInformational}},
       // Recovery (Table 7) and the replay planner/engine.
       {"recovery_ms", {"ms", MetricDirection::kLowerIsBetter}},
+      // phoenix.recovery.restore.makespan_ms: the redo phase's restores.
+      {"restore_makespan_ms", {"ms", MetricDirection::kLowerIsBetter}},
       {"recoveries", {"count", MetricDirection::kInformational}},
       {"records_scanned", {"count", MetricDirection::kInformational}},
       {"calls_replayed", {"count", MetricDirection::kInformational}},

@@ -99,24 +99,12 @@ void ParallelReplayEngine::WorkerLoop(const UnitReplayFn& replay) {
     Task& task = tasks_[t];
 
     // List scheduling: run the unit on the lane giving the earliest start
-    // (a lane idles until the latest prerequisite finished). Ties go to the
-    // *fullest* such lane — a chain successor then lands back on the lane
-    // that ran its predecessor instead of lifting a fresh lane up to the
-    // chain's time, which would serialize every lane onto one chain.
+    // (a lane idles until the latest prerequisite finished).
     double dep_ready = 0.0;
     for (size_t dep : task.deps) {
       dep_ready = std::max(dep_ready, tasks_[dep].finish_abs_ms);
     }
-    int lane = 0;
-    double best_start = std::max(lane_avail_[0], dep_ready);
-    for (size_t l = 1; l < lane_avail_.size(); ++l) {
-      double start = std::max(lane_avail_[l], dep_ready);
-      if (start < best_start ||
-          (start == best_start && lane_avail_[l] > lane_avail_[lane])) {
-        lane = static_cast<int>(l);
-        best_start = start;
-      }
-    }
+    int lane = EarliestStartLane(lane_avail_, dep_ready);
     clock.SetLane(lane);
     clock.AdvanceLaneToMs(dep_ready);
 

@@ -48,6 +48,59 @@ obs::SpanLink RecoveryRoot(Simulation* sim) {
 
 }  // namespace
 
+// The redo phase's restore lanes. Each context is rebuilt from its own
+// creation or state record, so restores commute: their costs are list-
+// scheduled (EarliestStartLane) on K clock lanes, every restore ready at the
+// phase start, and the phase costs the lanes' makespan. The host still
+// restores one context at a time. With one lane — or when the clock is
+// already inside a parallel region, i.e. this recovery was triggered from
+// another process's replay lane — no region opens and every cost lands on
+// the current clock in order: the serial sum. The destructor closes the
+// region on every exit, error returns and crashes included.
+class RestoreLanes {
+ public:
+  RestoreLanes(SimClock& clock, uint32_t lanes)
+      : clock_(clock), start_ms_(clock.NowMs()) {
+    if (lanes > 1 && !clock.in_parallel()) {
+      clock.BeginParallel(lanes);
+      lane_avail_.assign(lanes, start_ms_);
+      lanes_ = lanes;
+    }
+  }
+  ~RestoreLanes() { Close(); }
+
+  RestoreLanes(const RestoreLanes&) = delete;
+  RestoreLanes& operator=(const RestoreLanes&) = delete;
+
+  // Charges the next restore to the lane that can start it earliest.
+  void Take() {
+    if (lane_avail_.empty()) return;
+    lane_ = EarliestStartLane(lane_avail_, start_ms_);
+    clock_.SetLane(lane_);
+  }
+  // The taken lane is busy until now.
+  void Release() {
+    if (!lane_avail_.empty()) lane_avail_[lane_] = clock_.NowMs();
+  }
+  // Closes the region (if one is open; EndParallel also leaves the lane) and
+  // returns the phase's elapsed time: the lanes' makespan, or the serial sum
+  // without a region.
+  double Close() {
+    if (lane_avail_.empty()) return clock_.NowMs() - start_ms_;
+    lane_avail_.clear();
+    return clock_.EndParallel();
+  }
+  uint32_t lanes() const { return lanes_; }
+
+ private:
+  SimClock& clock_;
+  double start_ms_;
+  uint32_t lanes_ = 1;
+  int lane_ = 0;
+  // Absolute time each lane frees up; empty when no region is open.
+  std::vector<double> lane_avail_;
+};
+
 const char* RecoveryModeName(RecoveryMode mode) {
   switch (mode) {
     case RecoveryMode::kNormal:
@@ -232,15 +285,27 @@ Status RecoveryManager::Recover() {
     infos_[0].recovery_order = start_order;
   }
 
-  // Redo phase: reinstall saved context states and the rebuilt tables.
+  // Redo phase: reinstall saved context states and the rebuilt tables. The
+  // restores run on the replay lanes when parallel replay is on.
   {
     obs::Tracer::Span span = sim->tracer().StartSpan(
         "recovery", "redo", label, recover_span.link());
     TraceFrameScope frame(sim, span);
-    PHX_RETURN_IF_ERROR(RestoreContextStates());
+    RestoreLanes lanes(sim->clock(),
+                       sim->options().parallel_replay
+                           ? sim->options().parallel_replay_sessions
+                           : 1);
+    PHX_RETURN_IF_ERROR(RestoreContextStates(lanes));
+    double restore_ms = lanes.Close();
     InstallTables();
+    sim->metrics()
+        .GetHistogram("phoenix.recovery.restore.makespan_ms", labels)
+        .Record(restore_ms);
     span.AddArg(obs::Arg("contexts_restored_from_state",
                          stats_.contexts_restored_from_state));
+    span.AddArg(obs::Arg("restore_lanes",
+                         static_cast<uint64_t>(lanes.lanes())));
+    span.AddArg(obs::Arg("restore_makespan_ms", restore_ms));
   }
 
   // New components created while recovering (replayed activator calls whose
@@ -472,7 +537,7 @@ void RecoveryManager::SetOrigin(ContextInfo& info, uint64_t lsn) {
   info.recovery_order = order.ok() ? *order : kInvalidLsn;
 }
 
-Status RecoveryManager::RestoreContextStates() {
+Status RecoveryManager::RestoreContextStates(RestoreLanes& lanes) {
   Process& proc = *process_;
   Simulation* sim = proc.simulation();
   std::string label = ProcLabel(&proc);
@@ -481,34 +546,32 @@ Status RecoveryManager::RestoreContextStates() {
     if (context_id == 0) continue;  // activator is rebuilt by Start()
     if (info.recovery_lsn == kInvalidLsn) continue;
 
+    lanes.Take();
     Status status = RestoreOneContext(context_id, info);
-    if (status.ok()) {
-      if (proc.MaybeCrash(FailurePoint::kDuringRecoveryRestore)) {
-        return Status::Crashed("crashed during state reinstatement");
-      }
-      continue;
-    }
-    if (!status.IsCorruption()) return status;
-
     // Salvage: the recovery LSN points at bit-rotted or skipped bytes.
     // State records are redundant — the same state is reachable by replay
     // from an older state record, or from the creation record.
-    uint64_t fallback = FindFallbackOrigin(context_id, info.recovery_lsn);
-    if (fallback == kInvalidLsn) return status;  // nothing left to try
-    sim->metrics()
-        .GetCounter("phoenix.recovery.salvage.state_record_fallback",
-                    obs::LabelSet{{"process", label}})
-        .Increment();
-    sim->tracer().Instant("recovery", "salvage_state_fallback", label,
-                          {obs::Arg("context", context_id),
-                           obs::Arg("bad_lsn", info.recovery_lsn),
-                           obs::Arg("fallback_lsn", fallback)});
-    SetOrigin(info, fallback);
-    info.restored_from_state = false;
-    PHX_RETURN_IF_ERROR(RestoreOneContext(context_id, info));
-    if (proc.MaybeCrash(FailurePoint::kDuringRecoveryRestore)) {
-      return Status::Crashed("crashed during state reinstatement");
+    uint64_t fallback = status.IsCorruption()
+                            ? FindFallbackOrigin(context_id, info.recovery_lsn)
+                            : kInvalidLsn;
+    if (fallback != kInvalidLsn) {
+      sim->metrics()
+          .GetCounter("phoenix.recovery.salvage.state_record_fallback",
+                      obs::LabelSet{{"process", label}})
+          .Increment();
+      sim->tracer().Instant("recovery", "salvage_state_fallback", label,
+                            {obs::Arg("context", context_id),
+                             obs::Arg("bad_lsn", info.recovery_lsn),
+                             obs::Arg("fallback_lsn", fallback)});
+      SetOrigin(info, fallback);
+      info.restored_from_state = false;
+      status = RestoreOneContext(context_id, info);
     }
+    if (status.ok() && proc.MaybeCrash(FailurePoint::kDuringRecoveryRestore)) {
+      status = Status::Crashed("crashed during state reinstatement");
+    }
+    lanes.Release();
+    PHX_RETURN_IF_ERROR(status);
   }
   return Status::OK();
 }

@@ -15,6 +15,7 @@
 namespace phoenix {
 
 class Process;
+class RestoreLanes;
 
 // Recovers a single failed context (§4.4's "easier" case): the process and
 // its tables survive, only `context_id`'s component instances were lost
@@ -105,7 +106,9 @@ class RecoveryManager {
   Status PassOne(uint64_t start_order);
   // Points `info` at the origin record at `lsn`, looking up its order.
   void SetOrigin(ContextInfo& info, uint64_t lsn);
-  Status RestoreContextStates();
+  // Restores every context with an origin record in context-id order, each
+  // (salvage fallback included) charged to the lane `lanes` picks for it.
+  Status RestoreContextStates(RestoreLanes& lanes);
   // Restores one context from the record at info.recovery_lsn; kCorruption
   // when the record is unreadable or of the wrong type.
   Status RestoreOneContext(uint64_t context_id, ContextInfo& info);

@@ -58,6 +58,10 @@ struct CostModel {
   double state_save_per_byte_ms = 0.0002;
 
   // --- Recovery (Section 5.4) ---
+  // A recovery pays init once, then create (+ restore) per context, then
+  // replay and scans. The per-context costs are serial as in the paper,
+  // except with parallel replay on: restores then run on the replay lanes
+  // (list-scheduled, makespan ~ Σrestore / K), leaving init as the floor.
   // Initializing the Phoenix runtime structures in a restarted process.
   double recovery_init_ms = 492.0;
   // Reading creation records, constructing the object, running the

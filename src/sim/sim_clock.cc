@@ -38,4 +38,19 @@ double SimClock::EndParallel() {
   return makespan;
 }
 
+int EarliestStartLane(const std::vector<double>& lane_avail, double ready_ms) {
+  PHX_CHECK(!lane_avail.empty());
+  int lane = 0;
+  double best_start = std::max(lane_avail[0], ready_ms);
+  for (size_t l = 1; l < lane_avail.size(); ++l) {
+    double start = std::max(lane_avail[l], ready_ms);
+    if (start < best_start ||
+        (start == best_start && lane_avail[l] > lane_avail[lane])) {
+      lane = static_cast<int>(l);
+      best_start = start;
+    }
+  }
+  return lane;
+}
+
 }  // namespace phoenix

@@ -80,6 +80,14 @@ class SimClock {
   std::vector<double> lane_ms_;
 };
 
+// List scheduling's lane choice: the lane on which work whose prerequisites
+// are done at `ready_ms` starts earliest (`lane_avail` holds the absolute
+// time each lane frees up; a lane idles until `ready_ms`). Ties go to the
+// *fullest* such lane, so a chain successor lands back on the lane that ran
+// its predecessor instead of lifting a fresh lane up to the chain's time
+// (which would serialize every lane onto one chain).
+int EarliestStartLane(const std::vector<double>& lane_avail, double ready_ms);
+
 }  // namespace phoenix
 
 #endif  // PHOENIX_SIM_SIM_CLOCK_H_

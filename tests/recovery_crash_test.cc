@@ -54,27 +54,31 @@ TEST_F(RecoveryCrashTest, CrashAtEachRecoveryPointConverges) {
       FailurePoint::kBetweenReplayUnits,
       FailurePoint::kDuringEndOfLogFlush,
   };
-  for (FailurePoint point : kPoints) {
-    RuntimeOptions opts;
-    opts.inject_failures_during_recovery = true;
-    opts.save_context_state_every = 3;
-    SetUpSim(opts);
-    std::string uri = BuildCounterWorkload(sim_.get(), proc_);
+  // Sequential recovery, and parallel replay at 4 sessions — the restores
+  // then run on clock lanes, whose region must close when the attempt dies.
+  for (uint32_t sessions : {1u, 4u}) {
+    for (FailurePoint point : kPoints) {
+      SCOPED_TRACE(::testing::Message()
+                   << FailurePointName(point) << ", sessions=" << sessions);
+      RuntimeOptions opts;
+      opts.inject_failures_during_recovery = true;
+      opts.save_context_state_every = 3;
+      opts.parallel_replay = sessions > 1;
+      opts.parallel_replay_sessions = sessions;
+      SetUpSim(opts);
+      std::string uri = BuildCounterWorkload(sim_.get(), proc_);
 
-    proc_->Kill();
-    sim_->injector().AddTrigger("alpha", proc_->pid(), point, /*hit=*/1);
-    Status recovered = alpha_->recovery_service().EnsureProcessAlive(1);
-    ASSERT_TRUE(recovered.ok())
-        << FailurePointName(point) << ": " << recovered.ToString();
-    EXPECT_EQ(sim_->injector().crashes_fired(), 1u)
-        << FailurePointName(point);
-    // Attempt 1 died at the fault point; attempt 2 converged — rung 0.
-    EXPECT_EQ(Counter("phoenix.recovery.supervisor.attempts"), 2u)
-        << FailurePointName(point);
-    EXPECT_EQ(Counter("phoenix.recovery.supervisor.gave_up"), 0u);
-    ExternalClient client(sim_.get(), "alpha");
-    EXPECT_EQ(client.Call(uri, "Get", {})->AsInt(), 10)
-        << FailurePointName(point);
+      proc_->Kill();
+      sim_->injector().AddTrigger("alpha", proc_->pid(), point, /*hit=*/1);
+      Status recovered = alpha_->recovery_service().EnsureProcessAlive(1);
+      ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+      EXPECT_EQ(sim_->injector().crashes_fired(), 1u);
+      // Attempt 1 died at the fault point; attempt 2 converged — rung 0.
+      EXPECT_EQ(Counter("phoenix.recovery.supervisor.attempts"), 2u);
+      EXPECT_EQ(Counter("phoenix.recovery.supervisor.gave_up"), 0u);
+      ExternalClient client(sim_.get(), "alpha");
+      EXPECT_EQ(client.Call(uri, "Get", {})->AsInt(), 10);
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "recovery/checkpoint_manager.h"
 #include "recovery/recovery_manager.h"
 #include "recovery/recovery_service.h"
@@ -167,6 +168,89 @@ TEST_F(RecoveryManagerTest, LiveCallDuringRecoveryFlushesPendingFirst) {
   auto r = client.Call(*driver, "Bump", MakeArgs(2));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(client.Call(*target, "Get", {})->AsInt(), 3);
+}
+
+// Sim time of the redo phase of `sim`'s only recovery.
+double RestoreMakespanMs(const Simulation& sim) {
+  obs::Histogram h =
+      sim.metrics().MergedHistogram("phoenix.recovery.restore.makespan_ms");
+  EXPECT_EQ(h.count(), 1u);
+  return h.sum();
+}
+
+TEST(RestoreLanesTest, CreationOnlyContextsRestoreOnLanes) {
+  // Eight creation-only contexts restore independently: with parallel
+  // replay at 4 sessions their create costs are list-scheduled on 4 lanes
+  // (two rounds); sequentially they are the serial sum.
+  for (uint32_t sessions : {1u, 4u}) {
+    RuntimeOptions opts;
+    opts.parallel_replay = sessions > 1;
+    opts.parallel_replay_sessions = sessions;
+    Simulation sim(opts);
+    RegisterTestComponents(sim.factories());
+    Machine& alpha = sim.AddMachine("alpha");
+    Process& proc = alpha.CreateProcess();
+    ExternalClient client(&sim, "alpha");
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(client
+                      .CreateComponent(proc, "Counter", StrCat("c", i),
+                                       ComponentKind::kPersistent, {})
+                      .ok());
+    }
+
+    proc.Kill();
+    ASSERT_TRUE(alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
+    double rounds = sessions > 1 ? 2.0 : 8.0;
+    EXPECT_DOUBLE_EQ(RestoreMakespanMs(sim),
+                     rounds * sim.costs().recovery_create_ms)
+        << "sessions=" << sessions;
+  }
+}
+
+TEST(RestoreLanesTest, RecoveryInsideAnotherReplayRunsOnCallersLane) {
+  // A's parallel replay re-executes mid's calls to a functional Squarer in
+  // B, which is down: B recovers from inside A's replay lane. B's restores
+  // must charge that lane instead of opening a nested clock region.
+  RuntimeOptions opts;
+  opts.parallel_replay = true;
+  opts.parallel_replay_sessions = 4;
+  Simulation sim(opts);
+  RegisterTestComponents(sim.factories());
+  Machine& alpha = sim.AddMachine("alpha");
+  Process& a = alpha.CreateProcess();
+  Process& b = alpha.CreateProcess();
+  ExternalClient client(&sim, "alpha");
+  auto sq = client.CreateComponent(b, "Squarer", "sq",
+                                   ComponentKind::kFunctional, {});
+  auto keep = client.CreateComponent(b, "Counter", "keep",
+                                     ComponentKind::kPersistent, {});
+  auto mid = client.CreateComponent(a, "Chain", "mid",
+                                    ComponentKind::kPersistent,
+                                    MakeArgs(*sq, "Square"));
+  auto solo = client.CreateComponent(a, "Counter", "solo",
+                                     ComponentKind::kPersistent, {});
+  ASSERT_TRUE(sq.ok() && keep.ok() && mid.ok() && solo.ok());
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(client.Call(*mid, "Bump", MakeArgs(i)).ok());
+  }
+  ASSERT_TRUE(client.Call(*solo, "Add", MakeArgs(5)).ok());
+  ASSERT_TRUE(client.Call(*solo, "Add", MakeArgs(7)).ok());
+  ASSERT_TRUE(client.Call(*keep, "Add", MakeArgs(4)).ok());
+
+  b.Kill();
+  a.Kill();
+  ASSERT_TRUE(alpha.recovery_service().EnsureProcessAlive(a.pid()).ok());
+  EXPECT_FALSE(sim.clock().in_parallel());
+  EXPECT_EQ(sim.metrics().CounterTotal("phoenix.recovery.recoveries"), 2u);
+  const obs::Counter* nested = sim.metrics().FindCounter(
+      "phoenix.recovery.replay.fallbacks",
+      obs::LabelSet{{"process", StrCat("alpha/", b.pid())},
+                    {"reason", "nested_scheduler"}});
+  ASSERT_NE(nested, nullptr);
+  EXPECT_EQ(nested->value(), 1u);
+  EXPECT_EQ(client.Call(*mid, "Get", {})->AsInt(), 6);
+  EXPECT_EQ(client.Call(*solo, "Get", {})->AsInt(), 12);
+  EXPECT_EQ(client.Call(*keep, "Get", {})->AsInt(), 4);
 }
 
 }  // namespace

@@ -221,6 +221,50 @@ TEST_F(RecoveryRobustnessTest, CorruptStateRecordFallsBackToOlderOrigin) {
             1u);
 }
 
+TEST_F(RecoveryRobustnessTest, StateRecordFallbackChargedToItsRestoreLane) {
+  // With parallel replay the redo phase list-schedules each context's
+  // restore on a clock lane. A context whose newest state record rotted
+  // falls back to its older one on the lane that took it: c's create +
+  // state restore fill lane 0 while the creation-only d fills lane 1, so
+  // the phase costs the salvaged restore alone, not the serial sum.
+  RuntimeOptions opts;
+  opts.parallel_replay = true;
+  opts.parallel_replay_sessions = 2;
+  SetUpSim(opts);
+  ExternalClient client(sim_.get(), "alpha");
+  auto c = client.CreateComponent(*proc_, "Counter", "c",
+                                  ComponentKind::kPersistent, {});
+  auto d = client.CreateComponent(*proc_, "Counter", "d",
+                                  ComponentKind::kPersistent, {});
+  ASSERT_TRUE(c.ok() && d.ok());
+  Context* ctx = proc_->FindContextOfComponent("c");
+  ASSERT_TRUE(client.Call(*c, "Add", MakeArgs(1)).ok());
+  ASSERT_TRUE(proc_->checkpoints().SaveContextState(*ctx).ok());
+  ASSERT_TRUE(client.Call(*c, "Add", MakeArgs(1)).ok());
+  ASSERT_TRUE(proc_->checkpoints().SaveContextState(*ctx).ok());
+  ASSERT_TRUE(proc_->checkpoints().TakeProcessCheckpoint().ok());
+  ASSERT_TRUE(client.Call(*c, "Add", MakeArgs(1)).ok());  // publishes
+
+  uint64_t state_lsn = FindNewestRecord(*proc_, [](const LogRecord& r) {
+    return std::holds_alternative<ContextStateRecord>(r);
+  });
+  ASSERT_NE(state_lsn, kInvalidLsn);
+  proc_->Kill();
+  sim_->storage().CorruptLog(proc_->log_name(), state_lsn + 8, 2);
+
+  ASSERT_TRUE(alpha_->recovery_service().EnsureProcessAlive(1).ok());
+  EXPECT_EQ(sim_->metrics().CounterTotal(
+                "phoenix.recovery.salvage.state_record_fallback"),
+            1u);
+  obs::Histogram redo = sim_->metrics().MergedHistogram(
+      "phoenix.recovery.restore.makespan_ms");
+  ASSERT_EQ(redo.count(), 1u);
+  EXPECT_DOUBLE_EQ(redo.sum(), sim_->costs().recovery_create_ms +
+                                   sim_->costs().recovery_restore_state_ms);
+  EXPECT_EQ(client.Call(*c, "Get", {})->AsInt(), 3);
+  EXPECT_EQ(client.Call(*d, "Get", {})->AsInt(), 0);
+}
+
 TEST_F(RecoveryRobustnessTest, CorruptionInsideCheckpointBracketFullScan) {
   // Bit rot lands on a checkpoint table record above the published begin
   // LSN: the bracket can no longer be trusted, so recovery must widen to a
