@@ -63,6 +63,12 @@ const MetricMeta* DefaultMetricMeta(const std::string& metric) {
       {"grabber_forces", {"count", MetricDirection::kLowerIsBetter}},
       {"session_forces", {"count", MetricDirection::kLowerIsBetter}},
       {"state_saves", {"count", MetricDirection::kInformational}},
+      // Log-head truncation: the stable log a recovery may scan.
+      {"retained_log_bytes", {"bytes", MetricDirection::kLowerIsBetter}},
+      {"bytes_reclaimed", {"bytes", MetricDirection::kInformational}},
+      // phoenix.checkpoint.unpin_saves: read-only / functional contexts
+      // re-saved by a checkpoint so their origins stop pinning the head.
+      {"unpin_saves", {"count", MetricDirection::kInformational}},
       // Latencies.
       {"per_call_ms", {"ms", MetricDirection::kLowerIsBetter}},
       {"per_iteration_ms", {"ms", MetricDirection::kLowerIsBetter}},

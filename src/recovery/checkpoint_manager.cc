@@ -18,6 +18,13 @@ std::string ProcLabel(Process* proc) {
   return StrCat(proc->machine_name(), "/", proc->pid());
 }
 
+// The lowest local offset any pin holds on one shard, and what holds it:
+// "context <id>", "last_call" or "checkpoint_ref".
+struct ShardPin {
+  uint64_t local = kInvalidLsn;
+  std::string pinned_by;
+};
+
 }  // namespace
 
 CheckpointManager::CheckpointManager(Process* process) : process_(process) {}
@@ -113,6 +120,12 @@ Result<uint64_t> CheckpointManager::TakeProcessCheckpoint() {
   obs::Tracer::Span span = sim->tracer().StartSpan(
       "checkpoint", "process_checkpoint", label, sim->Current());
   TraceFrameScope trace_frame(sim, span);
+
+  // Before the begin record, so the bracket's context entries already carry
+  // the new origins and the next publish can trim past the old ones.
+  if (sim->options().auto_truncate_log) {
+    PHX_RETURN_IF_ERROR(SaveStatelessOrigins());
+  }
 
   // Begin/end records bracket the table dump so readers can tell a complete
   // checkpoint from one cut short by a crash (§4.3).
@@ -233,35 +246,32 @@ void CheckpointManager::MaybePublishCheckpoint() {
   }
 }
 
-uint64_t CheckpointManager::ComputeTruncationPoint() const {
+Status CheckpointManager::SaveStatelessOrigins() {
   Process& proc = *process_;
-  // Nothing is reclaimable before the first published checkpoint: recovery
-  // would scan from the very beginning.
+  // Nothing to move past before the first publish; a single log's order is
+  // its LSN, a sharded one's is the gsn (composite LSNs on different
+  // shards do not order).
   Result<uint64_t> well_known = proc.log().ReadWellKnownLsn();
-  if (!well_known.ok()) return proc.log().head_base();
-
-  uint64_t point = *well_known;
-  // A checkpoint in flight (taken, not yet published) pins its own bracket
-  // and everything its captured entries reference: with async capture the
-  // live tables can advance past the captured LSNs before the publish, and
-  // recovery may still land on this bracket once it publishes. The
-  // *published* bracket's captured refs stay pinned too — its entries keep
-  // pointing at them even after the live context saves newer state.
-  if (pending_begin_lsn_ != kInvalidLsn) {
-    point = std::min(point, pending_begin_lsn_);
-  }
-  for (uint64_t ref : pending_ref_lsns_) point = std::min(point, ref);
-  for (uint64_t ref : published_ref_lsns_) point = std::min(point, ref);
+  if (!well_known.ok()) return Status::OK();
+  Result<uint64_t> checkpoint_order = proc.log().OrderOfRecordAt(*well_known);
+  if (!checkpoint_order.ok()) return Status::OK();
   for (const auto& [context_id, ctx] : proc.contexts()) {
+    if (context_id == 0 || ctx->busy() || ctx->serving()) continue;
+    if (IsStatefulKind(ctx->parent_kind())) continue;
     uint64_t origin = ctx->recovery_lsn();
-    if (origin != kInvalidLsn) point = std::min(point, origin);
+    if (origin == kInvalidLsn) continue;
+    // An origin not yet stable on its shard cannot be ordered; the next
+    // checkpoint tries again.
+    Result<uint64_t> origin_order = proc.log().OrderOfRecordAt(origin);
+    if (!origin_order.ok() || *origin_order >= *checkpoint_order) continue;
+    PHX_RETURN_IF_ERROR(SaveContextState(*ctx).status());
+    proc.simulation()
+        ->metrics()
+        .GetCounter("phoenix.checkpoint.unpin_saves",
+                    obs::LabelSet{{"process", ProcLabel(&proc)}})
+        .Increment();
   }
-  for (const auto& [key, entry] : proc.last_calls().entries()) {
-    if (entry.reply_lsn != kInvalidLsn) {
-      point = std::min(point, entry.reply_lsn);
-    }
-  }
-  return std::max(point, proc.log().head_base());
+  return Status::OK();
 }
 
 uint64_t CheckpointManager::GarbageCollect() {
@@ -270,80 +280,82 @@ uint64_t CheckpointManager::GarbageCollect() {
   Simulation* sim = proc.simulation();
   std::string label = ProcLabel(process_);
 
-  if (log.sharded()) {
-    Result<uint64_t> well_known = log.ReadWellKnownLsn();
-    if (!well_known.ok()) return 0;
-    Result<uint64_t> begin_order = log.OrderOfRecordAt(*well_known);
-    if (!begin_order.ok()) return 0;
+  // Nothing is reclaimable before the first published checkpoint: recovery
+  // would scan from the very beginning.
+  Result<uint64_t> well_known = log.ReadWellKnownLsn();
+  if (!well_known.ok()) return 0;
+  Result<uint64_t> begin_order = log.OrderOfRecordAt(*well_known);
+  if (!begin_order.ok()) return 0;
 
-    // Each constraint pins only the shard its record lives on; a shard's
-    // cut is the minimum pinned local offset there. kInvalidLsn marks a
-    // shard no constraint touches.
-    std::vector<uint64_t> point(log.shard_count(), kInvalidLsn);
-    auto pin = [&](uint64_t lsn) {
-      if (lsn == kInvalidLsn) return;
-      uint32_t s = ShardOfLsn(lsn);
-      point[s] = std::min(point[s], LocalOfLsn(lsn));
-    };
-    pin(*well_known);  // the checkpoint bracket itself, on shard 0
-    // Same in-flight/published pins as ComputeTruncationPoint, per shard:
-    // composite LSNs cannot be min'd across shards, so every captured ref
-    // pins individually.
-    pin(pending_begin_lsn_);
-    for (uint64_t ref : pending_ref_lsns_) pin(ref);
-    for (uint64_t ref : published_ref_lsns_) pin(ref);
-    for (const auto& [context_id, ctx] : proc.contexts()) {
-      pin(ctx->recovery_lsn());
-    }
-    for (const auto& [key, entry] : proc.last_calls().entries()) {
-      pin(entry.reply_lsn);
-    }
+  // One pin pass for every layout (a single log is shard 0). Composite LSNs
+  // cannot be min'd across shards, so each pin lowers only the shard its
+  // record lives on; kInvalidLsn marks a shard no pin touches.
+  std::vector<ShardPin> pins(log.shard_count());
+  auto pin = [&pins](uint64_t lsn, const std::string& pinned_by) {
+    if (lsn == kInvalidLsn) return;
+    ShardPin& shard = pins[ShardOfLsn(lsn)];
+    if (LocalOfLsn(lsn) >= shard.local) return;
+    shard.local = LocalOfLsn(lsn);
+    shard.pinned_by = pinned_by;
+  };
+  // Live pins first, so a tie names the context or reply rather than the
+  // bracket entry that captured it.
+  for (const auto& [context_id, ctx] : proc.contexts()) {
+    pin(ctx->recovery_lsn(), StrCat("context ", context_id));
+  }
+  for (const auto& [key, entry] : proc.last_calls().entries()) {
+    pin(entry.reply_lsn, "last_call");
+  }
+  // The published bracket itself. A checkpoint in flight (taken, not yet
+  // published) pins its own bracket and everything its captured entries
+  // reference: with async capture the live tables can advance past the
+  // captured LSNs before the publish, and recovery may still land on this
+  // bracket once it publishes. The *published* bracket's captured refs
+  // stay pinned too — its entries keep pointing at them even after the
+  // live context saves newer state.
+  const std::string ref = "checkpoint_ref";
+  pin(*well_known, ref);
+  pin(pending_begin_lsn_, ref);
+  for (uint64_t lsn : pending_ref_lsns_) pin(lsn, ref);
+  for (uint64_t lsn : published_ref_lsns_) pin(lsn, ref);
 
-    uint64_t reclaimed = 0;
-    for (uint32_t s = 0; s < log.shard_count(); ++s) {
-      uint64_t cut = std::min(point[s], log.shard_stable_end(s));
-      if (point[s] == kInvalidLsn) {
-        // Unpinned shard: recovery reads it only from the published
-        // checkpoint's global sequence number on — cut at the first record
-        // at or past that gsn, the whole stable shard when none is.
-        cut = log.shard_stable_end(s);
-        LogReader reader(log.ShardStableView(s), log.shard_head_base(s));
-        reader.EnableGsnPrefix();
-        while (auto parsed = reader.Next()) {
-          if (parsed->order >= *begin_order) {
-            cut = parsed->lsn;
-            break;
-          }
+  uint64_t reclaimed = 0;
+  for (uint32_t s = 0; s < log.shard_count(); ++s) {
+    ShardPin& lowest = pins[s];
+    uint64_t cut = std::min(lowest.local, log.shard_stable_end(s));
+    if (lowest.local == kInvalidLsn) {
+      // Unpinned shard (never shard 0, which holds the bracket): recovery
+      // reads it only from the published checkpoint's global sequence
+      // number on — cut at the first record at or past that gsn, the whole
+      // stable shard when none is.
+      lowest.pinned_by = ref;
+      LogReader reader(log.ShardStableView(s), log.shard_head_base(s));
+      reader.EnableGsnPrefix();
+      while (auto parsed = reader.Next()) {
+        if (parsed->order >= *begin_order) {
+          cut = parsed->lsn;
+          break;
         }
       }
-      uint64_t before = log.shard_head_base(s);
-      if (cut <= before) continue;
-      log.TrimShardHead(s, cut);
-      reclaimed += cut - before;
-      sim->tracer().Instant("checkpoint", "trim", label, sim->Current(),
-                            {obs::Arg("shard", static_cast<uint64_t>(s)), obs::Arg("head", cut),
-                             obs::Arg("bytes", cut - before)});
     }
-    if (reclaimed > 0) {
-      sim->metrics()
-          .GetCounter("phoenix.checkpoint.bytes_reclaimed",
-                      obs::LabelSet{{"process", label}})
-          .Increment(reclaimed);
-    }
-    return reclaimed;
+    uint64_t before = log.shard_head_base(s);
+    uint64_t bytes = cut > before ? cut - before : 0;
+    if (bytes > 0) log.TrimShardHead(s, cut);
+    reclaimed += bytes;
+    // Emitted when nothing was reclaimed too: pinned_by then names what
+    // holds the head back.
+    sim->tracer().Instant("checkpoint", "trim", label, sim->Current(),
+                          {obs::Arg("shard", static_cast<uint64_t>(s)),
+                           obs::Arg("head", before + bytes),
+                           obs::Arg("bytes", bytes),
+                           obs::Arg("pinned_by", lowest.pinned_by)});
   }
-
-  uint64_t before = log.head_base();
-  uint64_t point = ComputeTruncationPoint();
-  if (point <= before) return 0;
-  log.TrimHead(point);
-  uint64_t reclaimed = point - before;
-  sim->metrics()
-      .GetCounter("phoenix.checkpoint.bytes_reclaimed",
-                  obs::LabelSet{{"process", label}})
-      .Increment(reclaimed);
-  sim->tracer().Instant("checkpoint", "trim", label, sim->Current(),
-                        {obs::Arg("head", point), obs::Arg("bytes", reclaimed)});
+  if (reclaimed > 0) {
+    sim->metrics()
+        .GetCounter("phoenix.checkpoint.bytes_reclaimed",
+                    obs::LabelSet{{"process", label}})
+        .Increment(reclaimed);
+  }
   return reclaimed;
 }
 

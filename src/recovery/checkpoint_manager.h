@@ -38,7 +38,9 @@ class CheckpointManager {
 
   // Takes a process checkpoint: begin record, context table entries,
   // last-call entries, remote component types, end record. Returns the
-  // begin record's LSN.
+  // begin record's LSN. With options.auto_truncate_log set, it first
+  // re-saves every idle read-only or functional context whose recovery
+  // origin precedes the published checkpoint (see SaveStatelessOrigins).
   Result<uint64_t> TakeProcessCheckpoint();
 
   // Publishes the pending checkpoint to the well-known file once its end
@@ -67,17 +69,14 @@ class CheckpointManager {
   Status RunAsyncSweep();
 
   // Log truncation (an engineering necessity checkpoints enable, though the
-  // paper stops short of it): everything below the returned LSN can never
-  // be read again — it is below the published checkpoint, below every
-  // context's recovery LSN, and below every live last-call reply record.
-  // Single-log only; the sharded path computes per-shard points instead.
-  uint64_t ComputeTruncationPoint() const;
-
-  // Trims the log head to the truncation point — per shard on a sharded
-  // WAL, where each shard's point is the minimum local offset any
-  // constraint pins on *that* shard (a shard no constraint touches trims
-  // up to the published checkpoint's global sequence number). Returns
-  // bytes reclaimed, summed across shards.
+  // paper stops short of it): trims each shard's head (a single log is
+  // shard 0) to the lowest local offset any pin holds on that shard — the
+  // published bracket, the pending and published brackets' captured refs,
+  // every context's recovery LSN and every live last-call reply record.
+  // A shard no pin touches trims up to the published checkpoint's global
+  // sequence number. Emits one checkpoint/trim instant per shard, naming
+  // the lowest pin, even when it reclaims nothing. Returns bytes
+  // reclaimed, summed across shards.
   uint64_t GarbageCollect();
 
   // --- statistics ---
@@ -89,6 +88,14 @@ class CheckpointManager {
   uint64_t async_deferrals() const { return async_deferrals_; }
 
  private:
+  // Read-only and functional contexts never reach the save cadence (it
+  // counts logged calls only), so without a re-save their creation records
+  // would pin the log head and recovery's pass-2 scan start for the whole
+  // run. Saves every idle one (id != 0) whose recovery origin precedes the
+  // published checkpoint in order space. Returns Crashed when a save dies
+  // at kDuringStateSave.
+  Status SaveStatelessOrigins();
+
   // A context deferred by the last sweep has since finished its call and
   // can be captured now.
   bool HasDeferredIdleContext() const;
