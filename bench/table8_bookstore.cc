@@ -51,7 +51,7 @@ LevelResult Run(obs::BenchVariant& variant, OptLevel level) {
 // the state-save / checkpoint cadence and auto_truncate_log on, then a
 // crash and recovery. The read-only grabber and functional tax calculator
 // never reach the cadence (it counts logged calls), so the retained log
-// stays bounded only because each checkpoint re-saves their origins.
+// stays bounded only because each checkpoint relogs their creation records.
 constexpr int kTruncatingSessions = 10000;
 
 void RunTruncating(obs::BenchVariant& variant) {
@@ -87,8 +87,8 @@ void RunTruncating(obs::BenchVariant& variant) {
   variant.SetMetric("retained_log_bytes", retained);
   variant.SetMetric("bytes_reclaimed", reclaimed);
   variant.SetMetric(
-      "unpin_saves",
-      sim.metrics().CounterTotal("phoenix.checkpoint.unpin_saves"));
+      "origin_relogs",
+      sim.metrics().CounterTotal("phoenix.checkpoint.origin_relogs"));
   variant.SetMetric("recovery_ms", recovery_ms);
   std::printf(
       "\nTruncating run: %d specialized sessions, retained log %llu bytes "

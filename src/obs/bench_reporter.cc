@@ -66,9 +66,9 @@ const MetricMeta* DefaultMetricMeta(const std::string& metric) {
       // Log-head truncation: the stable log a recovery may scan.
       {"retained_log_bytes", {"bytes", MetricDirection::kLowerIsBetter}},
       {"bytes_reclaimed", {"bytes", MetricDirection::kInformational}},
-      // phoenix.checkpoint.unpin_saves: read-only / functional contexts
-      // re-saved by a checkpoint so their origins stop pinning the head.
-      {"unpin_saves", {"count", MetricDirection::kInformational}},
+      // phoenix.checkpoint.origin_relogs: read-only / functional contexts
+      // whose origin a checkpoint relogged so it stops pinning the head.
+      {"origin_relogs", {"count", MetricDirection::kInformational}},
       // Latencies.
       {"per_call_ms", {"ms", MetricDirection::kLowerIsBetter}},
       {"per_iteration_ms", {"ms", MetricDirection::kLowerIsBetter}},
@@ -308,8 +308,8 @@ std::string BenchReporter::ToJson() const {
   }
   w.EndArray();
   // Additive meta block: unit + direction for the union of metric names
-  // across all variants, sorted. Derived metadata only — goldens pin the
-  // measured values above, which this block never touches.
+  // across all variants, sorted. Derived metadata only — phoenix_benchdiff
+  // pins the measured values above, which this block never touches.
   std::set<std::string> names;
   for (const BenchVariant& variant : variants_) {
     for (const auto& [metric, value] : variant.metrics()) names.insert(metric);

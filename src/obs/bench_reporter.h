@@ -34,8 +34,9 @@
 //   }
 //
 // The block is derived metadata only (no measured values live there), so
-// adding it never perturbs the pinned goldens; tools/phoenix_benchdiff uses
-// it to classify cross-run deltas as improvements or regressions.
+// adding it never perturbs the measured values that tools/phoenix_benchdiff
+// pins against bench/baselines/; the diff uses it to classify cross-run
+// deltas as improvements or regressions.
 
 #include <cstdint>
 #include <map>

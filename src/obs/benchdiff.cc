@@ -40,6 +40,11 @@ MetricMeta MetaForMetric(const ParsedReport* baseline,
   return ResolveMetricMeta(metric);
 }
 
+bool OutOfBand(double baseline, double candidate, const ToleranceBand& band) {
+  double allowance = std::max(band.abs, band.rel * std::fabs(baseline));
+  return std::fabs(candidate - baseline) > allowance;
+}
+
 const ToleranceBand& BandFor(const DiffOptions& options,
                              const std::string& metric) {
   auto it = options.metric_band.find(metric);
@@ -107,8 +112,9 @@ VariantDiff DiffVariant(const ParsedReport* base_report,
       d.candidate = ci->second;
       d.delta = d.candidate - d.baseline;
       d.delta_rel = d.baseline == 0 ? 0 : d.delta / std::fabs(d.baseline);
-      d.cls = ClassifyDelta(d.baseline, d.candidate, d.meta.direction,
-                            BandFor(options, d.metric));
+      const ToleranceBand& band = BandFor(options, d.metric);
+      d.cls = ClassifyDelta(d.baseline, d.candidate, d.meta.direction, band);
+      d.moved = OutOfBand(d.baseline, d.candidate, band);
       vd.metrics.push_back(std::move(d));
       ++bi;
       ++ci;
@@ -160,6 +166,7 @@ BenchDiffEntry DiffBench(const ParsedReport* base, const ParsedReport* cand,
 void CountDeltas(const BenchDiffEntry& entry, BenchDiff* diff) {
   for (const VariantDiff& vd : entry.variants) {
     for (const MetricDelta& d : vd.metrics) {
+      if (d.moved) ++diff->moved;
       switch (d.cls) {
         case DeltaClass::kImprovement:
           ++diff->improvements;
@@ -295,10 +302,11 @@ Result<std::vector<ParsedReport>> LoadBenchReportDir(const std::string& dir) {
 DeltaClass ClassifyDelta(double baseline, double candidate,
                          MetricDirection direction,
                          const ToleranceBand& band) {
+  if (!OutOfBand(baseline, candidate, band) ||
+      direction == MetricDirection::kInformational) {
+    return DeltaClass::kNeutral;
+  }
   double delta = candidate - baseline;
-  double allowance = std::max(band.abs, band.rel * std::fabs(baseline));
-  if (std::fabs(delta) <= allowance) return DeltaClass::kNeutral;
-  if (direction == MetricDirection::kInformational) return DeltaClass::kNeutral;
   bool better = direction == MetricDirection::kLowerIsBetter ? delta < 0
                                                              : delta > 0;
   return better ? DeltaClass::kImprovement : DeltaClass::kRegression;
@@ -428,6 +436,7 @@ std::string BenchDiffToJson(const BenchDiff& diff,
   w.Key("neutral").Number(diff.neutral);
   w.Key("new").Number(diff.added);
   w.Key("removed").Number(diff.removed);
+  w.Key("moved").Number(diff.moved);
   w.Key("phoenix.slo.checked").Number(diff.slo_checked);
   w.Key("phoenix.slo.violations").Number(diff.slo_violations);
   w.Key("gate").String(diff.GateFails() ? "fail" : "pass");
@@ -495,6 +504,9 @@ std::string BenchDiffToMarkdown(const BenchDiff& diff,
                 diff.regressions, " regression(s), ", diff.neutral,
                 " neutral, ", diff.added, " new, ", diff.removed,
                 " removed\n");
+  out += StrCat("- moved: ", diff.moved,
+                " metric(s) outside their band; any move, new or removed "
+                "metric fails\n");
   out += StrCat("- SLO budgets: ", diff.slo_checked, " checked, ",
                 diff.slo_violations, " violation(s)\n");
   out += StrCat("- gate: ", diff.GateFails() ? "**FAIL**" : "PASS", "\n");
@@ -533,7 +545,7 @@ std::string BenchDiffToMarkdown(const BenchDiff& diff,
         continue;
       }
       for (const MetricDelta& d : vd.metrics) {
-        if (d.cls == DeltaClass::kNeutral) continue;
+        if (d.cls == DeltaClass::kNeutral && !d.moved) continue;
         rows += StrCat(
             "| ", entry.bench, " | ", vd.name, " | ", d.metric, " | ",
             MetricDirectionName(d.meta.direction), " | ",
@@ -545,7 +557,8 @@ std::string BenchDiffToMarkdown(const BenchDiff& diff,
                 : "-",
             " | ", d.cls == DeltaClass::kRegression
                        ? StrCat("**", DeltaClassName(d.cls), "**")
-                       : DeltaClassName(d.cls),
+                   : d.cls == DeltaClass::kNeutral ? "moved"
+                                                   : DeltaClassName(d.cls),
             " |\n");
       }
     }

@@ -82,6 +82,7 @@ struct MetricDelta {
   double candidate = 0;
   double delta = 0;      // candidate - baseline (both present)
   double delta_rel = 0;  // delta / |baseline| (0 when baseline == 0)
+  bool moved = false;    // both present and outside the band, any direction
 };
 
 struct VariantDiff {
@@ -149,9 +150,15 @@ struct BenchDiff {
   uint64_t removed = 0;
   uint64_t slo_checked = 0;
   uint64_t slo_violations = 0;  // violated or required metric missing
+  uint64_t moved = 0;  // matched metrics outside their band, any direction
 
-  // The CI gate: any out-of-band regression or SLO violation.
-  bool GateFails() const { return regressions > 0 || slo_violations > 0; }
+  // The CI gate pins the baselines: the benches are deterministic, so any
+  // out-of-band move (a regression, an improvement or an informational
+  // metric), any new or removed metric and any SLO violation fails until
+  // a deliberate change re-baselines them.
+  bool GateFails() const {
+    return moved > 0 || added > 0 || removed > 0 || slo_violations > 0;
+  }
 };
 
 BenchDiff DiffBenchReports(const std::vector<ParsedReport>& baseline,

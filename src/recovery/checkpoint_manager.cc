@@ -122,9 +122,11 @@ Result<uint64_t> CheckpointManager::TakeProcessCheckpoint() {
   TraceFrameScope trace_frame(sim, span);
 
   // Before the begin record, so the bracket's context entries already carry
-  // the new origins and the next publish can trim past the old ones.
+  // the new origins and the next publish can trim past the old ones. Gated
+  // on truncation, which is all the relogs are for: without it, runs keep
+  // the paper's log byte for byte.
   if (sim->options().auto_truncate_log) {
-    PHX_RETURN_IF_ERROR(SaveStatelessOrigins());
+    PHX_RETURN_IF_ERROR(RelogStatelessOrigins());
   }
 
   // Begin/end records bracket the table dump so readers can tell a complete
@@ -246,7 +248,7 @@ void CheckpointManager::MaybePublishCheckpoint() {
   }
 }
 
-Status CheckpointManager::SaveStatelessOrigins() {
+Status CheckpointManager::RelogStatelessOrigins() {
   Process& proc = *process_;
   // Nothing to move past before the first publish; a single log's order is
   // its LSN, a sharded one's is the gsn (composite LSNs on different
@@ -264,14 +266,37 @@ Status CheckpointManager::SaveStatelessOrigins() {
     // checkpoint tries again.
     Result<uint64_t> origin_order = proc.log().OrderOfRecordAt(origin);
     if (!origin_order.ok() || *origin_order >= *checkpoint_order) continue;
-    PHX_RETURN_IF_ERROR(SaveContextState(*ctx).status());
+    PHX_RETURN_IF_ERROR(RelogOrigin(*ctx));
     proc.simulation()
         ->metrics()
-        .GetCounter("phoenix.checkpoint.unpin_saves",
+        .GetCounter("phoenix.checkpoint.origin_relogs",
                     obs::LabelSet{{"process", ProcLabel(&proc)}})
         .Increment();
   }
   return Status::OK();
+}
+
+Status CheckpointManager::RelogOrigin(Context& ctx) {
+  Process& proc = *process_;
+  // A copy of the creation record is a valid origin only when nothing
+  // before it is replay input: with specialized kinds the context's calls
+  // are never logged and carry no call IDs, and a self-contained creation
+  // replays without a logged reply. A context with a state record
+  // restarts from that record, which a copy would not move.
+  if (proc.simulation()->options().use_specialized_kinds &&
+      ctx.creation_self_contained() && ctx.state_record_lsn() == kInvalidLsn) {
+    // The origin precedes the published checkpoint, so it is stable.
+    Result<LogRecord> origin = proc.log().ReadRecordAtLsn(ctx.creation_lsn());
+    const auto* creation =
+        origin.ok() ? std::get_if<CreationRecord>(&*origin) : nullptr;
+    if (creation != nullptr && creation->context_id == ctx.id()) {
+      // Not forced, like the original: until a later force makes the copy
+      // stable, recovery starts the context from the published entry.
+      ctx.set_creation_lsn(proc.log().Append(*creation));
+      return Status::OK();
+    }
+  }
+  return SaveContextState(ctx).status();
 }
 
 uint64_t CheckpointManager::GarbageCollect() {

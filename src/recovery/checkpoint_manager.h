@@ -39,8 +39,8 @@ class CheckpointManager {
   // Takes a process checkpoint: begin record, context table entries,
   // last-call entries, remote component types, end record. Returns the
   // begin record's LSN. With options.auto_truncate_log set, it first
-  // re-saves every idle read-only or functional context whose recovery
-  // origin precedes the published checkpoint (see SaveStatelessOrigins).
+  // relogs the origin of every idle read-only or functional context whose
+  // origin precedes the published checkpoint (see RelogStatelessOrigins).
   Result<uint64_t> TakeProcessCheckpoint();
 
   // Publishes the pending checkpoint to the well-known file once its end
@@ -89,12 +89,17 @@ class CheckpointManager {
 
  private:
   // Read-only and functional contexts never reach the save cadence (it
-  // counts logged calls only), so without a re-save their creation records
-  // would pin the log head and recovery's pass-2 scan start for the whole
-  // run. Saves every idle one (id != 0) whose recovery origin precedes the
-  // published checkpoint in order space. Returns Crashed when a save dies
-  // at kDuringStateSave.
-  Status SaveStatelessOrigins();
+  // counts logged calls only), so without a new origin their creation
+  // records would pin the log head and recovery's pass-2 scan start for
+  // the whole run. Relogs the origin of every idle one (id != 0) whose
+  // origin precedes the published checkpoint in order space. Returns
+  // Crashed when a fallback state save dies at kDuringStateSave.
+  Status RelogStatelessOrigins();
+
+  // Appends a copy of `ctx`'s creation record and moves its creation LSN
+  // there: the cheapest origin (a create, no state restore). Falls back to
+  // SaveContextState when a copy would not replay to the same context.
+  Status RelogOrigin(Context& ctx);
 
   // A context deferred by the last sweep has since finished its call and
   // can be captured now.

@@ -71,6 +71,7 @@ void Context::ClearMembers() {
   parent_id_ = 0;
   next_sub_index_ = 1;
   parent_initialized_ = false;
+  creation_self_contained_ = false;
   busy_ = false;
   replaying_ = false;
   replay_feed_ = nullptr;

@@ -132,6 +132,12 @@ class Context {
   bool parent_initialized() const { return parent_initialized_; }
   void set_parent_initialized(bool v) { parent_initialized_ = v; }
 
+  // True once the creation call ran — live or by replay — without issuing
+  // a cross-context call, so replaying Initialize from any copy of the
+  // creation record needs no logged reply. False before that, and after a
+  // state-record restore (the creation did not run).
+  bool creation_self_contained() const { return creation_self_contained_; }
+
   // --- context table entry state ---
   uint64_t last_outgoing_seq() const { return last_outgoing_seq_; }
   void set_last_outgoing_seq(uint64_t seq) { last_outgoing_seq_ = seq; }
@@ -188,6 +194,7 @@ class Context {
   bool serving_ = false;
   int serving_session_ = -1;
   bool parent_initialized_ = false;
+  bool creation_self_contained_ = false;
   bool replaying_ = false;
   ReplayFeed* replay_feed_ = nullptr;
   MultiCallTracker multi_call_;

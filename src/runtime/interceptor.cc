@@ -581,12 +581,17 @@ Status Context::RunInitialize(const ArgList& ctor_args) {
   Simulation* sim = process_->simulation();
   busy_ = true;
   multi_call_.Reset();
+  uint64_t seq_before = last_outgoing_seq_;
   sim->PushContext(this);
   Status status = parent()->Initialize(ctor_args);
   sim->PopContext();
   busy_ = false;
   if (!process_->alive()) return Status::Crashed("process died in Initialize");
-  if (status.ok()) parent_initialized_ = true;
+  if (status.ok()) {
+    parent_initialized_ = true;
+    // Every cross-context call consumes a sequence number.
+    creation_self_contained_ = last_outgoing_seq_ == seq_before;
+  }
   return status;
 }
 

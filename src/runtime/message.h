@@ -39,7 +39,7 @@ struct CallMessage {
   // spans attach under the right parent across the process boundary.
   // Deliberately excluded from EncodedSizeHint: instrumentation must not
   // change the modeled wire cost, or tracing would perturb the paper's
-  // numbers and the pinned bench goldens.
+  // numbers and the pinned bench baselines.
   bool has_trace = false;
   uint64_t trace_id = 0;
   uint64_t parent_span = 0;

@@ -106,6 +106,41 @@ TEST(BenchDiffTest, ClassifiesByMetaDirection) {
   EXPECT_TRUE(diff.GateFails());
 }
 
+TEST(BenchDiffTest, GateFailsOnAnyMove) {
+  ParsedVariant base{"v", {{"recovery_ms", 2000.0},
+                           {"records_scanned", 500.0},
+                           {"forces", 10.0}}};
+  ParsedVariant improved{"v", {{"recovery_ms", 1800.0},
+                               {"records_scanned", 500.0},
+                               {"forces", 10.0}}};
+  ParsedVariant rescanned{"v", {{"recovery_ms", 2000.0},
+                                {"records_scanned", 501.0},
+                                {"forces", 10.0}}};
+  ParsedVariant dropped{"v", {{"recovery_ms", 2000.0},
+                              {"records_scanned", 500.0}}};
+  auto diff = [](const ParsedVariant& b, const ParsedVariant& c) {
+    return DiffBenchReports({MakeReport("t7", {b})}, {MakeReport("t7", {c})},
+                            DiffOptions{});
+  };
+
+  // The gate pins the baselines: an improvement, a direction-free move and
+  // a metric gone missing all fail it.
+  BenchDiff improvement = diff(base, improved);
+  EXPECT_EQ(improvement.improvements, 1u);
+  EXPECT_EQ(improvement.moved, 1u);
+  EXPECT_TRUE(improvement.GateFails());
+  BenchDiff informational = diff(base, rescanned);
+  EXPECT_EQ(FindDelta(informational, "t7", "v", "records_scanned")->cls,
+            DeltaClass::kNeutral);
+  EXPECT_TRUE(FindDelta(informational, "t7", "v", "records_scanned")->moved);
+  EXPECT_TRUE(informational.GateFails());
+  EXPECT_TRUE(diff(base, dropped).GateFails());
+  // A candidate that reproduces the baseline passes.
+  BenchDiff same = diff(base, base);
+  EXPECT_EQ(same.moved, 0u);
+  EXPECT_FALSE(same.GateFails());
+}
+
 TEST(BenchDiffTest, ReportMetaOverridesBuiltInTable) {
   // A bench can declare a custom direction for a name the built-in table
   // also knows; the report meta wins.
@@ -154,10 +189,11 @@ TEST(BenchDiffTest, NewAndRemovedMetricsVariantsBenches) {
   EXPECT_EQ(diff.benches[1].bench, "new_bench");
   EXPECT_EQ(diff.benches[1].cls, DeltaClass::kNew);
   // new: fresh_metric + added/forces + new_bench/v/runs; removed:
-  // old_metric + dropped/forces. Structure changes never fail the gate.
+  // old_metric + dropped/forces. Structure changes fail the gate until the
+  // baselines are re-baselined.
   EXPECT_EQ(diff.added, 3u);
   EXPECT_EQ(diff.removed, 2u);
-  EXPECT_FALSE(diff.GateFails());
+  EXPECT_TRUE(diff.GateFails());
 }
 
 TEST(BenchDiffTest, MissingBaselineDirIsAnError) {
@@ -199,7 +235,9 @@ TEST(BenchDiffTest, LoadsRealReportsWrittenByBenchReporter) {
   BenchDiff diff = DiffBenchReports(*base, *cand, DiffOptions{});
   EXPECT_EQ(diff.improvements, 1u);
   EXPECT_EQ(diff.regressions, 0u);
-  EXPECT_FALSE(diff.GateFails());
+  // An improvement is still a move off the pinned baseline.
+  EXPECT_TRUE(diff.GateFails());
+  EXPECT_FALSE(DiffBenchReports(*base, *base, DiffOptions{}).GateFails());
 }
 
 TEST(BenchDiffTest, SloBudgetsCheckAndMissingMetricViolates) {

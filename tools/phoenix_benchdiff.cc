@@ -12,8 +12,11 @@
 //       [--history=bench/history.json --history-label=pr9]
 //       [--tolerance=METRIC=REL_PCT]... [--default-tolerance=REL_PCT]
 //
-// Exit codes: 0 gate passes (improvements are fine), 1 any out-of-band
-// regression or SLO violation, 2 usage / unreadable inputs.
+// Exit codes: 0 gate passes, 1 any out-of-band move (a regression, an
+// improvement or an informational metric), any new or removed metric, or
+// any SLO violation, 2 usage / unreadable inputs. The benches are
+// deterministic, so the baselines are pinned: a deliberate change
+// re-baselines them.
 //
 // Example (the CI sentinel):
 //   bench/table7_recovery --out-dir=sentinel_out && ... all benches ...
