@@ -49,17 +49,20 @@ void RegisterBookstoreComponents(ComponentFactoryRegistry& factories) {
 }
 
 Result<Deployment> Deploy(Simulation& sim, Machine& server_machine,
-                          int num_stores, OptLevel level) {
+                          int num_stores, OptLevel level, bool split_stores) {
   bool specialized = level == OptLevel::kSpecialized;
   Deployment out;
   Process& proc = server_machine.CreateProcess();
   out.server_process = &proc;
+  out.store_process =
+      split_stores ? &server_machine.CreateProcess() : &proc;
   ExternalClient admin(&sim, server_machine.name());
 
   for (int i = 1; i <= num_stores; ++i) {
     PHX_ASSIGN_OR_RETURN(
         std::string uri,
-        admin.CreateComponent(proc, "Bookstore", StrCat("store", i),
+        admin.CreateComponent(*out.store_process, "Bookstore",
+                              StrCat("store", i),
                               ComponentKind::kPersistent,
                               MakeArgs(StrCat("Store-", i))));
     out.store_uris.push_back(std::move(uri));

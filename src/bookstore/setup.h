@@ -32,6 +32,7 @@ struct Deployment {
   std::string seller_uri;
   std::string tax_uri;
   Process* server_process = nullptr;
+  Process* store_process = nullptr;  // == server_process unless split
 };
 
 // Registers the five component types with the simulation's factories.
@@ -39,9 +40,12 @@ void RegisterBookstoreComponents(ComponentFactoryRegistry& factories);
 
 // Creates the Figure 10 component graph in one process on `server_machine`:
 // `num_stores` bookstores, the price grabber, the tax calculator and the
-// book seller, with kinds chosen by `level`.
+// book seller, with kinds chosen by `level`. With `split_stores` the
+// bookstores live in a second process on the same machine, so the seller
+// reaches them across a process boundary.
 Result<Deployment> Deploy(Simulation& sim, Machine& server_machine,
-                          int num_stores, OptLevel level);
+                          int num_stores, OptLevel level,
+                          bool split_stores = false);
 
 // One §5.5 BookBuyer session (the measured operation set):
 //   i)   search for books with keyword "recovery";

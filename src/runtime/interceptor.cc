@@ -186,8 +186,15 @@ Result<ReplyMessage> Context::HandleIncoming(const CallMessage& msg) {
     // must be stable before message 2 leaves.
     Status durable = proc->WaitDurable(ForcePoint::kReplySend);
     if (!durable.ok()) return durable;
-    proc->checkpoints().MaybePublishCheckpoint();
   }
+  // Message 2 leaves here ("reply sent"): a dead process sends nothing, and
+  // a live one raises the externalized floor before anything below can
+  // crash it. A state save or checkpoint that kills the process after this
+  // point no longer takes the reply back: the crash-time torn tail stops at
+  // the floor, so the acknowledged call survives recovery.
+  if (!proc->alive()) return Status::Crashed("process died before reply send");
+  proc->NoteExternalization();
+  if (rep_dec.force) proc->checkpoints().MaybePublishCheckpoint();
 
   // Last call table update (the entry replaces any earlier one from the
   // same client — older entries are never needed, §2.3).
@@ -219,10 +226,6 @@ Result<ReplyMessage> Context::HandleIncoming(const CallMessage& msg) {
     proc->checkpoints().OnIncomingCallFinished(*this);
   }
 
-  // The reply leaves the process now: everything stable so far is
-  // externalized and off-limits for torn-tail injection — including at the
-  // kAfterReplySend crash, whose whole point is that message 2 got out.
-  proc->NoteExternalization();
   if (CrashHook(proc, FailurePoint::kAfterReplySend)) {
     // The reply is already on the wire: deliver it, then the process is
     // found dead by the next caller.
@@ -422,6 +425,9 @@ Result<Value> Context::OutgoingCall(Component* from,
     Status durable = proc->WaitDurable(ForcePoint::kOutgoingSend);
     if (!durable.ok()) return durable;
     proc->checkpoints().MaybePublishCheckpoint();
+    // A dead process sends nothing. A force that a crash overtook already
+    // returns Crashed; this keeps the rule at the exit itself.
+    if (!proc->alive()) return Status::Crashed("process died before send");
   }
 
   if (CrashHook(proc, FailurePoint::kBeforeOutgoingSend)) {

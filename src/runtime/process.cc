@@ -70,11 +70,20 @@ std::string Process::ActivatorUri() const {
 
 Status Process::WaitDurable(ForcePoint reason) {
   if (!alive_) return Status::Crashed("process is down");
+  // A parked wait can resume after another chain crashed this process, and
+  // even after it restarted it: the waiting chain then belongs to a dead
+  // incarnation and unwinds with Crashed, although its own wait was met.
+  uint64_t incarnation = crash_count_;
+  auto died = [this, incarnation] {
+    return !alive_ || crash_count_ != incarnation;
+  };
   // Recovery must not yield: its replay is itself driven from a chain that
   // other sessions may be parked behind.
   if (!log_->sharded()) {
-    return log_->WaitDurable(log_->next_lsn(), reason,
-                             /*allow_park=*/!recovering_);
+    Status status = log_->WaitDurable(log_->next_lsn(), reason,
+                                      /*allow_park=*/!recovering_);
+    if (status.ok() && died()) return Status::Crashed("process is down");
+    return status;
   }
   // Sharded WAL: force only the shards this chain has appended to since
   // its last wait (a cross-shard send must not pay for other chains'
@@ -93,7 +102,7 @@ Status Process::WaitDurable(ForcePoint reason) {
     Status status =
         log_->WaitDurableShard(s, reason, /*allow_park=*/!recovering_);
     if (!status.ok()) return status;
-    if (!alive_) return Status::Crashed("process is down");
+    if (died()) return Status::Crashed("process is down");
   }
   chain_touched_shards_.erase(key);
   return Status::OK();
@@ -121,17 +130,11 @@ bool Process::MaybeCrash(FailurePoint point) {
 }
 
 void Process::NoteExternalization() {
-  uint64_t stable_end = log_->stable_end_lsn();
-  if (stable_end > externalized_stable_lsn_) {
-    externalized_stable_lsn_ = stable_end;
-  }
-  // Sharded WAL: the observable world may reflect records on any shard, so
-  // every shard's floor conservatively rises to its current stable end.
-  for (uint32_t s = 0; s < shard_externalized_floor_.size(); ++s) {
-    uint64_t shard_end = log_->shard_stable_end(s);
-    if (shard_end > shard_externalized_floor_[s]) {
-      shard_externalized_floor_[s] = shard_end;
-    }
+  // The observable world may reflect records on any shard, so every
+  // shard's floor conservatively rises to its current stable end.
+  for (uint32_t s = 0; s < externalized_floor_.size(); ++s) {
+    externalized_floor_[s] =
+        std::max(externalized_floor_[s], log_->shard_stable_end(s));
   }
 }
 
@@ -180,37 +183,28 @@ void Process::MaybeTearStableTail() {
 void Process::InjectTornTail(uint64_t tear) {
   Simulation* sim = simulation();
   if (tear == 0) return;
-  // Sharded WAL: tear the shard with the largest un-externalized stable
-  // span (ties to the lowest shard id); the other shards keep their tails,
-  // which is exactly the case the per-shard salvage path must handle.
+  // Tear the shard with the largest un-externalized stable span (ties to
+  // the lowest shard id; a single log is shard 0); the other shards keep
+  // their tails, which is exactly the case the per-shard salvage path must
+  // handle.
+  auto floor_of = [this](uint32_t s) {
+    return std::max(externalized_floor_[s], log_->shard_head_base(s));
+  };
   uint32_t shard = 0;
-  if (log_->sharded()) {
-    uint64_t best_span = 0;
-    for (uint32_t s = 0; s < log_->shard_count(); ++s) {
-      uint64_t shard_end = log_->shard_stable_end(s);
-      uint64_t shard_floor =
-          std::max(shard_externalized_floor_.size() > s
-                       ? shard_externalized_floor_[s]
-                       : 0,
-                   log_->shard_head_base(s));
-      uint64_t span = shard_end > shard_floor ? shard_end - shard_floor : 0;
-      if (span > best_span) {
-        best_span = span;
-        shard = s;
-      }
+  uint64_t best_span = 0;
+  for (uint32_t s = 0; s < log_->shard_count(); ++s) {
+    uint64_t end = log_->shard_stable_end(s);
+    uint64_t span = end > floor_of(s) ? end - floor_of(s) : 0;
+    if (span > best_span) {
+      best_span = span;
+      shard = s;
     }
-    if (best_span == 0) return;  // nothing un-externalized on any shard
   }
-  uint64_t stable_end = log_->sharded() ? log_->shard_stable_end(shard)
-                                        : log_->stable_end_lsn();
-  uint64_t floor =
-      log_->sharded()
-          ? std::max(shard_externalized_floor_[shard],
-                     log_->shard_head_base(shard))
-          : std::max(externalized_stable_lsn_, log_->head_base());
+  if (best_span == 0) return;  // nothing un-externalized on any shard
+  uint64_t stable_end = log_->shard_stable_end(shard);
+  uint64_t floor = floor_of(shard);
   uint64_t target = stable_end > tear ? stable_end - tear : 0;
   if (target < floor) target = floor;
-  if (target >= stable_end) return;  // nothing un-externalized to tear
   sim->storage().TruncateLog(log_->shard_log_name(shard), target);
   std::string label = StrCat(machine_name(), "/", pid_);
   sim->metrics()
@@ -252,14 +246,10 @@ void Process::Start() {
   // Everything stable at (re)start is conservatively treated as already
   // externalized: only bytes forced after this point without leaving the
   // process are candidates for a future torn tail.
-  externalized_stable_lsn_ = log_->stable_end_lsn();
-  shard_externalized_floor_.clear();
+  externalized_floor_.assign(log_->shard_count(), 0);
+  NoteExternalization();
   chain_touched_shards_.clear();
   if (log_->sharded()) {
-    shard_externalized_floor_.resize(log_->shard_count());
-    for (uint32_t s = 0; s < log_->shard_count(); ++s) {
-      shard_externalized_floor_[s] = log_->shard_stable_end(s);
-    }
     log_->SetAppendObserver(
         [this](uint32_t shard) { NoteShardAppend(shard); });
   }
@@ -356,8 +346,26 @@ Context* Process::CreateRawContext(uint64_t context_id) {
   return it->second.get();
 }
 
+void Process::set_recovering(bool r) {
+  recovering_ = r;
+  recovery_scheduler_ = r ? simulation()->session_scheduler() : nullptr;
+  recovery_chain_ = CurrentChainKey();
+}
+
 Result<ReplyMessage> Process::DeliverCall(const CallMessage& msg) {
   if (!alive_) return Status::Unavailable("process is down");
+  if (recovering_ && recovery_scheduler_ != nullptr &&
+      recovery_scheduler_ == simulation()->session_scheduler() &&
+      CurrentChainKey() != recovery_chain_) {
+    // A recovery running on a session chain can park (its live replay
+    // calls wait on other processes' durability). Another chain's call
+    // waits for the recovery to end rather than enter a context that is
+    // still replaying. Calls from the recovering chain itself, and from
+    // the replay sessions of a recovery that owns its own scheduler, go
+    // through.
+    recovery_scheduler_->ParkUntil([this] { return !recovering_; });
+    if (!alive_) return Status::Unavailable("process is down");
+  }
   PHX_ASSIGN_OR_RETURN(ParsedUri target, ParseComponentUri(msg.target_uri));
   Context* ctx = FindContextOfComponent(target.component_name);
   if (ctx == nullptr) {

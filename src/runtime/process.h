@@ -20,6 +20,7 @@ namespace phoenix {
 class Machine;
 class Simulation;
 class CheckpointManager;
+class SessionScheduler;
 
 // Name of the built-in activator component present in every process
 // (context/component id 0). Component creation is a normal persistent
@@ -64,7 +65,9 @@ class Process {
   // --- liveness ---
   bool alive() const { return alive_; }
   bool recovering() const { return recovering_; }
-  void set_recovering(bool r) { recovering_ = r; }
+  // Also remembers the chain that runs the recovery: DeliverCall parks
+  // other chains' calls until it ends (see there).
+  void set_recovering(bool r);
 
   // Crash: all volatile state is dropped — contexts, tables, and the
   // unforced log buffer. The stable log and well-known file survive.
@@ -128,10 +131,10 @@ class Process {
   // observable by the outside world, so an injected torn tail may never eat
   // them — tearing an acknowledged record would genuinely break
   // exactly-once, which is a storage contract violation, not a crash.
-  // Sharded WAL: every shard's floor rises to that shard's stable end
-  // (conservative — the outside world may have observed any of them).
+  // The floor is kept per shard (a single log is shard 0), and every
+  // shard's floor rises to that shard's stable end (conservative — the
+  // outside world may have observed any of them).
   void NoteExternalization();
-  uint64_t externalized_stable_lsn() const { return externalized_stable_lsn_; }
 
   // Shears up to `bytes` off this process's *stable* log tail, clamped to
   // the externalized floor and the garbage-collected head base (the same
@@ -173,6 +176,10 @@ class Process {
   uint32_t pid_;
   bool alive_ = false;
   bool recovering_ = false;
+  // The scheduler and chain running the current recovery (nullptr when it
+  // runs off any session, e.g. on the driver thread).
+  SessionScheduler* recovery_scheduler_ = nullptr;
+  int recovery_chain_ = -1;
   bool async_checkpoint_active_ = false;
 
   std::unique_ptr<LogManager> log_;
@@ -182,11 +189,11 @@ class Process {
   LastCallTable last_calls_;
   RemoteTypeTable remote_types_;
   uint64_t next_parent_id_ = 1;  // id 0 is the activator
-  uint64_t externalized_stable_lsn_ = 0;
-  // Sharded WAL only (both empty/unused when wal_shards == 1): per-shard
-  // externalized floors (shard-local offsets), and per-chain bitmasks of
+  // Externalized floor per shard (shard-local offsets; one entry for a
+  // single log).
+  std::vector<uint64_t> externalized_floor_;
+  // Sharded WAL only (unused when wal_shards == 1): per-chain bitmasks of
   // shards appended to since the chain's last successful durability wait.
-  std::vector<uint64_t> shard_externalized_floor_;
   std::map<int, uint64_t> chain_touched_shards_;
   uint64_t incoming_calls_ = 0;
   uint64_t crash_count_ = 0;

@@ -36,7 +36,8 @@ bool LogReader::ValidFrameAt(uint64_t lsn, ParsedRecord* out) const {
   uint32_t len = LoadU32(&log_[rel]);
   uint32_t crc = LoadU32(&log_[rel + 4]);
   if (lsn + 8 + len > end) return false;
-  const uint8_t* payload = &log_[rel + 8];
+  // Not &log_[rel + 8]: with len == 0 that is one past the end.
+  const uint8_t* payload = log_.data() + rel + 8;
   if (Crc32c(payload, len) != crc) return false;
   uint64_t order = 0;
   if (gsn_prefix_) {
@@ -100,7 +101,8 @@ Result<LogRecord> ReadRecordAt(const LogView& view, uint64_t lsn) {
   if (rel + 8 + len > log.size()) {
     return Status::Corruption("record extends past end of log");
   }
-  const uint8_t* payload = &log[rel + 8];
+  // Not &log[rel + 8]: with len == 0 that is one past the end.
+  const uint8_t* payload = log.data() + rel + 8;
   if (Crc32c(payload, len) != crc) {
     return Status::Corruption("record crc mismatch");
   }
@@ -124,7 +126,8 @@ Result<LogRecord> ReadPrefixedRecordAt(const LogView& view, uint64_t lsn,
   if (rel + 8 + len > log.size()) {
     return Status::Corruption("record extends past end of log");
   }
-  const uint8_t* payload = &log[rel + 8];
+  // Not &log[rel + 8]: with len == 0 that is one past the end.
+  const uint8_t* payload = log.data() + rel + 8;
   if (Crc32c(payload, len) != crc) {
     return Status::Corruption("record crc mismatch");
   }

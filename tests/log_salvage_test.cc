@@ -113,6 +113,23 @@ TEST_F(LogSalvageTest, TornTailReportsFirstUnreadableByte) {
   EXPECT_EQ(reader.torn_offset(), lsns[3]);
 }
 
+TEST_F(LogSalvageTest, ZeroLengthFrameAtTheEndIsATornTail) {
+  WriteRecords(2);
+  // The log's last 8 bytes are a frame header claiming an empty payload:
+  // its CRC matches (CRC32C of nothing is 0), but nothing decodes, and the
+  // payload pointer is one past the end of the log.
+  uint64_t header = storage_.AppendLog(kLog, std::vector<uint8_t>(8, 0));
+
+  LogReader reader(View(), 0);
+  reader.EnableSalvage();
+  int read = 0;
+  while (reader.Next()) ++read;
+  EXPECT_EQ(read, 2);
+  EXPECT_TRUE(reader.tail_torn());
+  EXPECT_EQ(reader.torn_offset(), header);
+  EXPECT_FALSE(ReadRecordAt(View(), header).ok());
+}
+
 TEST_F(LogSalvageTest, CleanLogHasNoSalvageArtifacts) {
   WriteRecords(3);
   LogReader reader(View(), 0);

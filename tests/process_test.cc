@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <vector>
+
+#include "common/strings.h"
 #include "tests/test_components.h"
 
 namespace phoenix {
@@ -135,6 +140,121 @@ TEST_F(ProcessTest, ComponentKindNamesAreStable) {
   EXPECT_TRUE(IsStatefulKind(ComponentKind::kSubordinate));
   EXPECT_FALSE(IsStatefulKind(ComponentKind::kFunctional));
   EXPECT_FALSE(IsPhoenixKind(ComponentKind::kExternal));
+}
+
+// A durability wait that parks can resume after another chain crashed the
+// process and restarted it. The waiting chain belongs to the dead
+// incarnation and must unwind with Crashed even though its own wait was
+// met, so it never touches the restarted process (an async checkpoint
+// sweep used to resume inside the replaced CheckpointManager).
+TEST(ProcessIncarnationTest, ParkedWaitResumingAfterRestartReturnsCrashed) {
+  for (uint32_t shards : {1u, 2u}) {
+    RuntimeOptions opts;
+    opts.group_commit = true;
+    // The second waiter completes the batch and flushes inline, so it runs
+    // on while the first one sits woken but not yet resumed.
+    opts.group_commit_max_batch = 2;
+    opts.wal_shards = shards;
+    Simulation sim(opts);
+    RegisterTestComponents(sim.factories());
+    Machine& alpha = sim.AddMachine("alpha");
+    Process& proc = alpha.CreateProcess();
+    ExternalClient admin(&sim, "alpha");
+    ASSERT_TRUE(admin.CreateComponent(proc, "Counter", "c",
+                                      ComponentKind::kPersistent, {})
+                    .ok());
+    uint64_t context_id = proc.FindContextOfComponent("c")->id();
+
+    bool restarted = false;
+    std::optional<Status> resumed;
+    std::vector<std::function<void()>> bodies;
+    for (int s = 0; s < 2; ++s) {
+      bodies.push_back([&] {
+        IncomingCallRecord rec;
+        rec.context_id = context_id;
+        rec.method = "Add";
+        rec.args = MakeArgs(1);
+        proc.log().Append(rec);
+        Status status = proc.WaitDurable(ForcePoint::kIncomingLogged);
+        if (restarted) {
+          resumed = status;
+          return;
+        }
+        EXPECT_TRUE(status.ok()) << status.ToString();
+        restarted = true;
+        proc.Kill();
+        EXPECT_TRUE(
+            alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
+      });
+    }
+    sim.RunSessions(std::move(bodies));
+
+    ASSERT_TRUE(resumed.has_value()) << shards << " shard(s)";
+    EXPECT_TRUE(resumed->IsCrashed())
+        << shards << " shard(s): " << resumed->ToString();
+    EXPECT_TRUE(proc.alive());
+  }
+}
+
+// A recovery that runs on a session chain parks when its replay goes live
+// and waits on another process's group commit. Other chains' calls into
+// the recovering process wait for the recovery to end; they used to enter
+// the context that was still replaying and fail as "busy".
+TEST(ProcessRecoveryTest, CallsFromOtherChainsWaitForAParkedRecovery) {
+  constexpr int kSessions = 3;
+  constexpr int kCalls = 4;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RuntimeOptions opts;
+    opts.group_commit = true;
+    SimulationParams params;
+    params.seed = seed;
+    Simulation sim(opts, params);
+    RegisterTestComponents(sim.factories());
+    Machine& alpha = sim.AddMachine("alpha");
+    Machine& beta = sim.AddMachine("beta");
+    Process& drivers = alpha.CreateProcess();
+    Process& mid_proc = alpha.CreateProcess();
+    Process& leaf_proc = beta.CreateProcess();
+    ExternalClient admin(&sim, "alpha");
+    auto leaf = admin.CreateComponent(leaf_proc, "Counter", "leaf",
+                                      ComponentKind::kPersistent, {});
+    ASSERT_TRUE(leaf.ok());
+    auto mid = admin.CreateComponent(mid_proc, "Chain", "mid",
+                                     ComponentKind::kPersistent,
+                                     MakeArgs(*leaf));
+    ASSERT_TRUE(mid.ok());
+    std::vector<std::string> driver_uris;
+    for (int d = 0; d < kSessions; ++d) {
+      auto driver = admin.CreateComponent(
+          drivers, "Chain", StrCat("driver", d), ComponentKind::kPersistent,
+          MakeArgs(*mid, "Bump"));
+      ASSERT_TRUE(driver.ok());
+      driver_uris.push_back(*driver);
+    }
+    // The first call mid forwards dies before its send: mid's recovery
+    // replays that call live, into the leaf's group commit.
+    sim.injector().AddTrigger("alpha", mid_proc.pid(),
+                              FailurePoint::kBeforeOutgoingSend);
+
+    std::vector<std::function<void()>> bodies;
+    for (const std::string& uri : driver_uris) {
+      bodies.push_back([&sim, uri] {
+        ExternalClient client(&sim, "alpha");
+        for (int i = 0; i < kCalls; ++i) {
+          auto bumped = client.Call(uri, "Bump", MakeArgs(1));
+          EXPECT_TRUE(bumped.ok()) << uri << ": " << bumped.status().ToString();
+        }
+      });
+    }
+    sim.RunSessions(std::move(bodies));
+
+    EXPECT_EQ(sim.injector().crashes_fired(), 1u) << "seed " << seed;
+    ExternalClient probe(&sim, "alpha");
+    EXPECT_EQ(probe.Call(*mid, "Get", {})->AsInt(), kSessions * kCalls)
+        << "seed " << seed;
+    EXPECT_EQ(probe.Call(*leaf, "Get", {})->AsInt(), kSessions * kCalls)
+        << "seed " << seed;
+  }
 }
 
 }  // namespace
