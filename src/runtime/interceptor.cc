@@ -47,6 +47,9 @@ Result<ReplyMessage> Context::HandleIncoming(const CallMessage& msg) {
   const RuntimeOptions& opts = sim->options();
 
   if (!proc->alive()) return Status::Unavailable("process is down");
+  // This frame may park or call out and come back after its process died
+  // and restarted; the pin keeps this context alive until it unwinds.
+  Process::IncarnationPin pin(proc);
   while (serving_ || busy_) {
     // PWD requirement: a context serves one incoming call at a time. A
     // session finding the context occupied by *another* session parks
@@ -549,6 +552,7 @@ Result<ReplyMessage> Context::SendWithRetry(CallMessage msg) {
 Result<ReplyMessage> Context::ReplayIncoming(const CallMessage& msg,
                                              ReplayFeed feed) {
   Process* proc = process_;
+  Process::IncarnationPin pin(proc);
   Simulation* sim = proc->simulation();
   sim->clock().AdvanceMs(sim->costs().recovery_replay_call_ms);
 
@@ -584,6 +588,7 @@ Result<ReplyMessage> Context::ReplayIncoming(const CallMessage& msg,
 }
 
 Status Context::RunInitialize(const ArgList& ctor_args) {
+  Process::IncarnationPin pin(process_);
   Simulation* sim = process_->simulation();
   busy_ = true;
   multi_call_.Reset();

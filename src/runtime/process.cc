@@ -70,6 +70,8 @@ std::string Process::ActivatorUri() const {
 
 Status Process::WaitDurable(ForcePoint reason) {
   if (!alive_) return Status::Crashed("process is down");
+  // The park below may outlive this incarnation.
+  IncarnationPin pin(this);
   // A parked wait can resume after another chain crashed this process, and
   // even after it restarted it: the waiting chain then belongs to a dead
   // incarnation and unwinds with Crashed, although its own wait was met.
@@ -150,11 +152,9 @@ void Process::Kill() {
   // durability wait wake and unwind with Crashed.
   log_->DropBuffer();
   MaybeTearStableTail();
-  // Contexts go to the graveyard, not straight to the destructor: a parked
-  // session may still be executing inside one of them.
-  if (!contexts_.empty()) {
-    zombie_contexts_.push_back(std::move(contexts_));
-  }
+  // The contexts join this incarnation's corpse: a frame may still be
+  // executing inside one of them (it holds a pin).
+  corpses_[incarnation_].contexts = std::move(contexts_);
   contexts_.clear();
   component_to_context_.clear();
   last_calls_.Clear();
@@ -172,6 +172,27 @@ void Process::Kill() {
   // later crash would overwrite the file with fresher context anyway).
   sim->DumpFlightRecorderOnCrash();
   machine_->recovery_service().NotifyCrashed(pid_);
+  FreeUnpinnedCorpses();
+}
+
+Process::IncarnationPin::IncarnationPin(Process* process)
+    : process_(process), incarnation_(process->incarnation_) {
+  ++process_->live_pins_;
+}
+
+Process::IncarnationPin::~IncarnationPin() {
+  if (incarnation_ == process_->incarnation_) {
+    --process_->live_pins_;
+  } else {
+    --process_->corpses_.at(incarnation_).pins;
+  }
+}
+
+void Process::FreeUnpinnedCorpses() {
+  std::erase_if(corpses_, [this](const auto& entry) {
+    const auto& [incarnation, corpse] = entry;
+    return (incarnation == incarnation_ ? live_pins_ : corpse.pins) == 0;
+  });
 }
 
 void Process::MaybeTearStableTail() {
@@ -221,9 +242,14 @@ void Process::InjectTornTail(uint64_t tear) {
 void Process::Start() {
   Simulation* sim = simulation();
   if (log_ != nullptr) {
-    // Same zombie rule as the contexts in Kill(): a parked session may
-    // resume inside the old manager's commit pipeline.
-    zombie_logs_.push_back(std::move(log_));
+    // The previous incarnation's managers join its corpse (Kill already
+    // moved its contexts there), and so do its pins.
+    Corpse& corpse = corpses_[incarnation_++];
+    corpse.log = std::move(log_);
+    corpse.checkpoints = std::move(checkpoints_);
+    corpse.pins = live_pins_;
+    live_pins_ = 0;
+    FreeUnpinnedCorpses();
   }
   log_ = std::make_unique<LogManager>(log_name(), &sim->storage(),
                                       &machine_->disk(), &sim->clock(),

@@ -154,6 +154,32 @@ class Process {
     async_checkpoint_active_ = active;
   }
 
+  // --- incarnations ---
+  // An incarnation runs from one Start() to the next. When it dies, its
+  // contexts (at Kill), log manager and checkpoint manager (at the next
+  // Start) become a corpse. A frame that can touch an incarnation's objects
+  // across a nested call or a park pins it: a call still unwinding through
+  // a context after an inline restart, or a session parked in a durability
+  // wait. A corpse with no pin is freed at the next Kill, Start or end of
+  // Simulation::RunSessions — never when a pin is released, since the
+  // releasing frame is itself running inside the corpse.
+  class IncarnationPin {
+   public:
+    explicit IncarnationPin(Process* process);
+    ~IncarnationPin();
+    IncarnationPin(const IncarnationPin&) = delete;
+    IncarnationPin& operator=(const IncarnationPin&) = delete;
+
+   private:
+    Process* process_;
+    uint64_t incarnation_;
+  };
+
+  // Frees every corpse no pin holds.
+  void FreeUnpinnedCorpses();
+  // Dead incarnations whose objects are still in memory.
+  size_t held_incarnations() const { return corpses_.size(); }
+
   // --- statistics ---
   uint64_t incoming_calls() const { return incoming_calls_; }
   void CountIncomingCall() { ++incoming_calls_; }
@@ -199,12 +225,20 @@ class Process {
   uint64_t crash_count_ = 0;
   PendingFlusher pending_flusher_;
 
-  // Crash graveyard: sessions parked inside a context's or log manager's
-  // member functions when the process dies resume on the old objects (and
-  // immediately unwind with Crashed). Keeping the corpses alive until the
-  // process itself is destroyed makes that resume memory-safe.
-  std::vector<std::map<uint64_t, std::unique_ptr<Context>>> zombie_contexts_;
-  std::vector<std::unique_ptr<LogManager>> zombie_logs_;
+  // Dead incarnations still in memory, by incarnation number. A corpse
+  // keeps what frames of its incarnation may still touch while they unwind
+  // with Crashed, and lives only while one of them pins it (see
+  // IncarnationPin). The live incarnation is incarnation_; its pin count
+  // is live_pins_, which Start hands over to its corpse.
+  struct Corpse {
+    std::map<uint64_t, std::unique_ptr<Context>> contexts;
+    std::unique_ptr<LogManager> log;
+    std::unique_ptr<CheckpointManager> checkpoints;
+    uint32_t pins = 0;
+  };
+  std::map<uint64_t, Corpse> corpses_;
+  uint64_t incarnation_ = 0;
+  uint32_t live_pins_ = 0;
 };
 
 }  // namespace phoenix

@@ -348,6 +348,9 @@ void Simulation::RunSessions(std::vector<std::function<void()>> sessions) {
       for (uint32_t s = 0; s < process->log().shard_count(); ++s) {
         process->log().pipeline(s).SetScheduler(nullptr);
       }
+      // No session is parked any more, so only frames below this call can
+      // still pin a dead incarnation.
+      process->FreeUnpinnedCorpses();
     }
   }
 }

@@ -128,12 +128,10 @@ uint64_t LogManager::shard_head_base(uint32_t shard) const {
   return storage_->LogBase(shard_writer(shard).log_name());
 }
 
-void LogManager::TrimHead(uint64_t lsn) {
-  storage_->TrimLogHead(writer_.log_name(), lsn);
-}
+void LogManager::TrimHead(uint64_t lsn) { TrimShardHead(0, lsn); }
 
 void LogManager::TrimShardHead(uint32_t shard, uint64_t local_lsn) {
-  storage_->TrimLogHead(shard_writer(shard).log_name(), local_lsn);
+  shard_writer(shard).TrimHead(local_lsn);
 }
 
 void LogManager::TruncateStableTail(uint64_t end_lsn) {

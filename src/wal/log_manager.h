@@ -177,7 +177,9 @@ class LogManager {
   uint64_t num_forces() const;
   uint64_t bytes_forced() const;
 
-  // Per-force attribution (start/end LSN + ForcePoint), in issue order.
+  // Per-force attribution (start/end LSN + ForcePoint), oldest first, for
+  // the forces whose bytes are still retained: a head trim drops the marks
+  // ending below the new head, a tail truncation those past the new end.
   // Shard 0 / the whole log when shard_count == 1; offsets shard-local.
   const std::vector<ForceMark>& force_marks() const {
     return writer_.force_marks();

@@ -1,5 +1,7 @@
 #include "wal/log_writer.h"
 
+#include <algorithm>
+
 #include "common/crc32c.h"
 #include "common/strings.h"
 
@@ -97,6 +99,24 @@ size_t LogWriter::Force(ForcePoint reason) {
   span.AddArg(obs::Arg("rotational_wait_ms", bd.rotational_wait_ms));
   span.AddArg(obs::Arg("transfer_ms", bd.transfer_ms));
   return bytes;
+}
+
+void LogWriter::TrimHead(uint64_t lsn) {
+  storage_->TrimLogHead(log_name_, lsn);
+  uint64_t base = storage_->LogBase(log_name_);
+  // Marks are in log order, so the dropped ones form a prefix.
+  auto kept = std::find_if(
+      force_marks_.begin(), force_marks_.end(),
+      [base](const ForceMark& mark) { return mark.end_lsn >= base; });
+  force_marks_.erase(force_marks_.begin(), kept);
+}
+
+void LogWriter::ResetStableEnd(uint64_t end_lsn) {
+  stable_bytes_ = end_lsn;
+  auto dropped = std::find_if(
+      force_marks_.begin(), force_marks_.end(),
+      [end_lsn](const ForceMark& mark) { return mark.end_lsn > end_lsn; });
+  force_marks_.erase(dropped, force_marks_.end());
 }
 
 }  // namespace phoenix

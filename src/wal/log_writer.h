@@ -65,9 +65,9 @@ class LogWriter {
 
   // Mid-recovery salvage: the stable log was physically truncated under
   // this writer (torn tail amputation); realign its notion of the stable
-  // end so new appends land right after the last valid frame. Only valid
-  // with an empty buffer.
-  void ResetStableEnd(uint64_t end_lsn) { stable_bytes_ = end_lsn; }
+  // end so new appends land right after the last valid frame, and drop the
+  // force marks past it. Only valid with an empty buffer.
+  void ResetStableEnd(uint64_t end_lsn);
 
   const std::string& log_name() const { return log_name_; }
 
@@ -96,8 +96,13 @@ class LogWriter {
   uint64_t num_forces() const { return num_forces_; }
   uint64_t bytes_forced() const { return bytes_forced_; }
 
-  // Every force this writer issued, in order, with its attribution.
+  // The forces of this writer whose bytes are still retained, oldest
+  // first, with their attribution.
   const std::vector<ForceMark>& force_marks() const { return force_marks_; }
+
+  // Garbage collection: drops the stable bytes before `lsn`, and the force
+  // marks that end below the new head (a dump of the log elides them).
+  void TrimHead(uint64_t lsn);
 
  private:
   std::string log_name_;

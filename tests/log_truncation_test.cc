@@ -12,6 +12,7 @@
 #include "recovery/checkpoint_manager.h"
 #include "recovery/recovery_service.h"
 #include "tests/test_components.h"
+#include "wal/log_dump.h"
 #include "wal/log_reader.h"
 #include "wal/merged_log_reader.h"
 
@@ -164,6 +165,137 @@ TEST_F(LogTruncationTest, TrimIsMonotoneAndIdempotent) {
   // Trimming backwards is a no-op.
   proc_->log().TrimHead(0);
   EXPECT_EQ(proc_->log().head_base(), first);
+}
+
+// Force marks live as long as the bytes they cover. After each
+// checkpoint/truncate cycle a writer keeps exactly the marks of the forces
+// that end at or past its head, and a dump with them is byte-identical to
+// one with every mark ever made (the dump elides marks below the head).
+TEST_F(LogTruncationTest, ForceMarksTrimWithTheHead) {
+  constexpr int kCycles = 6;
+  for (uint32_t shards : {1u, 2u}) {
+    RuntimeOptions opts;
+    opts.wal_shards = shards;
+    SetUpSim(opts);
+    ExternalClient client(sim_.get(), "alpha");
+    std::vector<std::string> uris;
+    for (const char* name : {"c0", "c1", "c2"}) {
+      auto uri = client.CreateComponent(*proc_, "Counter", name,
+                                        ComponentKind::kPersistent, {});
+      ASSERT_TRUE(uri.ok());
+      uris.push_back(*uri);
+    }
+    LogManager& log = proc_->log();
+    // Every force each shard ever made, as an untrimmed writer keeps them.
+    // Forces happen only inside calls and trims only in GarbageCollect, so
+    // collecting before each trim sees them all.
+    std::vector<std::vector<ForceMark>> forced(shards);
+    auto collect = [&] {
+      for (uint32_t s = 0; s < shards; ++s) {
+        for (const ForceMark& mark : log.shard_force_marks(s)) {
+          if (forced[s].empty() ||
+              mark.start_lsn >= forced[s].back().end_lsn) {
+            forced[s].push_back(mark);
+          }
+        }
+      }
+    };
+    auto dump = [&](bool untrimmed) {
+      if (shards == 1) {
+        return DumpLog(log.StableView(),
+                       untrimmed ? forced[0] : log.force_marks());
+      }
+      std::vector<ShardDumpInput> inputs;
+      for (uint32_t s = 0; s < shards; ++s) {
+        inputs.push_back(ShardDumpInput{
+            s, log.shard_log_name(s), log.ShardStableView(s),
+            untrimmed ? &forced[s] : &log.shard_force_marks(s)});
+      }
+      return DumpShardedLogs(inputs);
+    };
+
+    uint64_t reclaimed = 0;
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      for (int i = 0; i < 8; ++i) {
+        ASSERT_TRUE(
+            client.Call(uris[i % uris.size()], "Add", MakeArgs(1)).ok());
+      }
+      for (const std::string& name : {"c0", "c1", "c2"}) {
+        ASSERT_TRUE(proc_->checkpoints()
+                        .SaveContextState(*proc_->FindContextOfComponent(name))
+                        .ok());
+      }
+      ASSERT_TRUE(proc_->checkpoints().TakeProcessCheckpoint().ok());
+      // The next call's force publishes the checkpoint.
+      ASSERT_TRUE(client.Call(uris[0], "Add", MakeArgs(1)).ok());
+      collect();
+      reclaimed += proc_->checkpoints().GarbageCollect();
+
+      size_t forced_total = 0;
+      for (uint32_t s = 0; s < shards; ++s) {
+        forced_total += forced[s].size();
+        uint64_t head = log.shard_head_base(s);
+        std::vector<ForceMark> retained;
+        for (const ForceMark& mark : forced[s]) {
+          if (mark.end_lsn >= head) retained.push_back(mark);
+        }
+        const std::vector<ForceMark>& kept = log.shard_force_marks(s);
+        ASSERT_EQ(kept.size(), retained.size())
+            << shards << " shard(s), shard " << s << ", cycle " << cycle;
+        for (size_t m = 0; m < kept.size(); ++m) {
+          EXPECT_EQ(kept[m].start_lsn, retained[m].start_lsn);
+          EXPECT_EQ(kept[m].end_lsn, retained[m].end_lsn);
+          EXPECT_EQ(kept[m].reason, retained[m].reason);
+        }
+      }
+      EXPECT_EQ(forced_total, log.num_forces());
+      EXPECT_EQ(dump(/*untrimmed=*/false), dump(/*untrimmed=*/true))
+          << shards << " shard(s), cycle " << cycle;
+    }
+    EXPECT_EQ(proc_->checkpoints().checkpoints_published(),
+              static_cast<uint64_t>(kCycles));
+    EXPECT_GT(reclaimed, 0u);
+    // The head moved, so the writer really dropped marks.
+    EXPECT_LT(log.force_marks().size(), forced[0].size())
+        << shards << " shard(s)";
+  }
+}
+
+// Tail salvage drops the marks past the new stable end, so a force made
+// after the truncation still shows in the dump: a stale mark ending past
+// the cut no longer hides it.
+TEST_F(LogTruncationTest, TailTruncationDropsForceMarksPastTheCut) {
+  SetUpSim();
+  ExternalClient client(sim_.get(), "alpha");
+  auto uri = client.CreateComponent(*proc_, "Counter", "c",
+                                    ComponentKind::kPersistent, {});
+  ASSERT_TRUE(uri.ok());
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(client.Call(*uri, "Add", MakeArgs(1)).ok());
+  }
+  LogManager& log = proc_->log();
+  log.Force();
+  std::vector<ForceMark> before = log.force_marks();
+  ASSERT_GE(before.size(), 4u);
+  // Cut at a force boundary in the middle: the frames before it stay whole.
+  size_t keep = before.size() / 2;
+  uint64_t cut = before[keep].start_lsn;
+  log.TruncateStableTail(cut);
+  ASSERT_EQ(log.stable_end_lsn(), cut);
+  ASSERT_EQ(log.force_marks().size(), keep);
+  for (const ForceMark& mark : log.force_marks()) {
+    EXPECT_LE(mark.end_lsn, log.stable_end_lsn());
+  }
+
+  log.Append(IncomingCallRecord{});
+  log.Force(ForcePoint::kManual);
+  ASSERT_EQ(log.force_marks().size(), keep + 1);
+  EXPECT_EQ(log.force_marks().back().start_lsn, cut);
+  std::string dumped = DumpLog(log.StableView(), log.force_marks());
+  EXPECT_NE(dumped.find(StrCat("(forced up to lsn ",
+                               log.force_marks().back().end_lsn, ": ")),
+            std::string::npos)
+      << dumped;
 }
 
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -193,7 +194,108 @@ TEST(ProcessIncarnationTest, ParkedWaitResumingAfterRestartReturnsCrashed) {
     EXPECT_TRUE(resumed->IsCrashed())
         << shards << " shard(s): " << resumed->ToString();
     EXPECT_TRUE(proc.alive());
+    // The parked wait pinned the dead incarnation across the restart; once
+    // the sessions are done nothing is inside it, so it is gone.
+    EXPECT_EQ(proc.held_incarnations(), 0u) << shards << " shard(s)";
   }
+}
+
+// A callback chain P.A -> Q.B -> P.C where P crashes in C before its reply.
+// Q's retry restarts P inline, while A's frame, which belongs to the dead
+// incarnation, is still on the driver's stack below it. The dead
+// incarnation must outlive that restart (A returns through it) and be
+// freed only after the stack has unwound.
+TEST(ProcessIncarnationTest, CallbackRestartKeepsTheCallersIncarnation) {
+  Simulation sim;
+  RegisterTestComponents(sim.factories());
+  Machine& alpha = sim.AddMachine("alpha");
+  Machine& beta = sim.AddMachine("beta");
+  Process& p = alpha.CreateProcess();
+  Process& q = beta.CreateProcess();
+  ExternalClient admin(&sim, "alpha");
+  auto c = admin.CreateComponent(p, "Chain", "c", ComponentKind::kPersistent,
+                                 {});
+  ASSERT_TRUE(c.ok());
+  auto b = admin.CreateComponent(q, "Chain", "b", ComponentKind::kPersistent,
+                                 MakeArgs(*c, "Bump"));
+  ASSERT_TRUE(b.ok());
+  auto a = admin.CreateComponent(p, "Chain", "a", ComponentKind::kPersistent,
+                                 MakeArgs(*b, "Bump"));
+  ASSERT_TRUE(a.ok());
+  // C's reply send is the first one P reaches.
+  sim.injector().AddTrigger("alpha", p.pid(), FailurePoint::kBeforeReplySend);
+
+  ExternalClient client(&sim, "alpha");
+  auto bumped = client.Call(*a, "Bump", MakeArgs(1));
+  ASSERT_TRUE(bumped.ok()) << bumped.status().ToString();
+  EXPECT_EQ(bumped->AsInt(), 1);
+  EXPECT_EQ(sim.injector().crashes_fired(), 1u);
+  EXPECT_EQ(p.crash_count(), 1u);
+  // A returned through the dead incarnation after the restart; no Kill,
+  // Start or session run has come since.
+  EXPECT_EQ(p.held_incarnations(), 1u);
+
+  // A's call took effect exactly once along the whole chain.
+  ExternalClient probe(&sim, "alpha");
+  EXPECT_EQ(probe.Call(*a, "Get", {})->AsInt(), 1);
+  EXPECT_EQ(probe.Call(*b, "Get", {})->AsInt(), 1);
+  EXPECT_EQ(probe.Call(*c, "Get", {})->AsInt(), 1);
+
+  // The next release point frees it: nothing is inside it any more.
+  sim.RunSessions({[&] { EXPECT_TRUE(probe.Call(*a, "Get", {}).ok()); }});
+  EXPECT_EQ(p.held_incarnations(), 0u);
+  EXPECT_EQ(q.held_incarnations(), 0u);
+}
+
+// Crash/restart loops on the driver thread hold at most one dead
+// incarnation at any time: one crashed inside a call stays pinned until the
+// call unwinds, and every Kill or Start frees the unpinned ones.
+TEST(ProcessIncarnationTest, CrashRestartLoopHoldsAtMostOneCorpse) {
+  constexpr int kCycles = 1000;
+  RuntimeOptions opts;
+  // Each cycle's clean call saves C's state and checkpoints, so a restart
+  // scans and replays a bounded tail of the log.
+  opts.save_context_state_every = 1;
+  opts.process_checkpoint_every = 1;
+  opts.auto_truncate_log = true;
+  Simulation sim(opts);
+  RegisterTestComponents(sim.factories());
+  Machine& alpha = sim.AddMachine("alpha");
+  Machine& beta = sim.AddMachine("beta");
+  Process& drivers = alpha.CreateProcess();
+  Process& server = beta.CreateProcess();
+  ExternalClient admin(&sim, "alpha");
+  auto counter = admin.CreateComponent(server, "Chain", "c",
+                                       ComponentKind::kPersistent, {});
+  ASSERT_TRUE(counter.ok());
+  auto driver = admin.CreateComponent(drivers, "Chain", "d",
+                                      ComponentKind::kPersistent,
+                                      MakeArgs(*counter, "Bump"));
+  ASSERT_TRUE(driver.ok());
+
+  ExternalClient client(&sim, "alpha");
+  size_t most_held = 0;
+  for (int i = 0; i < kCycles; ++i) {
+    ASSERT_TRUE(client.Call(*driver, "Bump", MakeArgs(1)).ok()) << i;
+    if (i % 2 == 0) {
+      // Killed inside the call; the driver's retry restarts it.
+      sim.injector().AddTrigger("beta", server.pid(),
+                                FailurePoint::kBeforeReplySend);
+      ASSERT_TRUE(client.Call(*driver, "Bump", MakeArgs(1)).ok()) << i;
+    } else {
+      // Killed from the driver thread, outside any call.
+      server.Kill();
+      most_held = std::max(most_held, server.held_incarnations());
+      ASSERT_TRUE(
+          beta.recovery_service().EnsureProcessAlive(server.pid()).ok())
+          << i;
+    }
+    most_held = std::max(most_held, server.held_incarnations());
+  }
+  EXPECT_EQ(server.crash_count(), static_cast<uint64_t>(kCycles));
+  EXPECT_LE(most_held, 1u);
+  ExternalClient probe(&sim, "alpha");
+  EXPECT_EQ(probe.Call(*counter, "Get", {})->AsInt(), kCycles + kCycles / 2);
 }
 
 // A recovery that runs on a session chain parks when its replay goes live
