@@ -178,8 +178,7 @@ Result<uint64_t> CheckpointManager::TakeProcessCheckpoint() {
   // Its publish gate is that log's *own* durable horizon reaching one past
   // the end record — captured here, right after the append, so it covers
   // the end record regardless of how frames pack.
-  pending_end_horizon_ =
-      proc.log().sharded() ? proc.log().shard_next_lsn(0) : proc.log().next_lsn();
+  pending_end_horizon_ = proc.log().shard_next_lsn(0);
   pending_end_append_ms_ = sim->clock().NowMs();
   pending_ref_lsns_ = std::move(refs);
   ++checkpoints_taken_;
@@ -355,7 +354,6 @@ uint64_t CheckpointManager::GarbageCollect() {
       // stable shard when none is.
       lowest.pinned_by = ref;
       LogReader reader(log.ShardStableView(s), log.shard_head_base(s));
-      reader.EnableGsnPrefix();
       while (auto parsed = reader.Next()) {
         if (parsed->order >= *begin_order) {
           cut = parsed->lsn;

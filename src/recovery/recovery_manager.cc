@@ -129,14 +129,10 @@ Status RecoverContextFailure(Process* process, uint64_t context_id) {
         StrCat("context ", context_id, " has no recovery origin"));
   }
   // A context failure loses neither the process's tables nor its log
-  // buffer, so the scan covers the unforced tail too. All of one context's
-  // records route to one shard, so the scan stays shard-local (shard 0 ==
-  // the whole log when unsharded).
-  bool sharded = proc.log().sharded();
-  uint32_t shard = sharded ? ShardOfLsn(origin) : 0;
-  uint64_t local_origin = sharded ? LocalOfLsn(origin) : origin;
-  std::vector<uint8_t> log_bytes = proc.log().ShardFullLog(shard);
-  LogView log{&log_bytes, proc.log().shard_head_base(shard)};
+  // buffer, so recovery reads the unforced tail too. All of one context's
+  // records route to one shard, so that shard's image is the whole input.
+  std::vector<uint8_t> image_bytes;
+  LogView image = proc.log().ShardFullView(ShardOfLsn(origin), &image_bytes);
 
   std::string obs_label = ProcLabel(process);
   sim->metrics()
@@ -150,88 +146,19 @@ Status RecoverContextFailure(Process* process, uint64_t context_id) {
 
   proc.set_recovering(true);
   ctx->ClearMembers();
-
-  auto restore = [&]() -> Status {
-    Result<LogRecord> read = sharded
-                                 ? ReadPrefixedRecordAt(log, local_origin)
-                                 : ReadRecordAt(log, local_origin);
-    if (!read.ok()) return std::move(read).status();
-    LogRecord record = std::move(read).value();
-    if (const auto* state = std::get_if<ContextStateRecord>(&record)) {
-      sim->clock().AdvanceMs(sim->costs().recovery_create_ms +
-                             sim->costs().recovery_restore_state_ms);
-      for (const ComponentSnapshot& snap : state->components) {
-        PHX_RETURN_IF_ERROR(ctx->RestoreComponent(snap));
-      }
-      ctx->set_last_outgoing_seq(state->last_outgoing_seq);
-      return Status::OK();
-    }
-    if (const auto* creation = std::get_if<CreationRecord>(&record)) {
-      sim->clock().AdvanceMs(sim->costs().recovery_create_ms);
-      PHX_ASSIGN_OR_RETURN(std::unique_ptr<Component> instance,
-                           sim->factories().Create(creation->type_name));
-      ctx->AddComponent(std::move(instance), creation->type_name,
-                        creation->name, creation->kind, context_id);
-      proc.IndexComponentName(creation->name, context_id);
-      ctx->set_last_outgoing_seq(0);
-      return Status::OK();
-    }
-    return Status::Corruption(
-        StrCat("context ", context_id, " origin is not a state/creation"));
-  };
-  Status status = restore();
-
+  // Crash recovery's restore, then its pass-2 replay over the image from
+  // the origin on. The context is the only one with an origin, so the scan
+  // replays its units alone.
+  RecoveryManager manager(process);
+  RecoveryManager::ContextInfo& info = manager.infos_[context_id];
+  info.recovery_lsn = origin;
+  Status status = manager.RestoreOneContext(
+      context_id, info,
+      ReadRecordAt(image, LocalOfLsn(origin), &info.recovery_order));
   if (status.ok()) {
-    std::optional<PendingReplay> pending;
-    auto flush = [&]() -> Status {
-      if (!pending.has_value()) return Status::OK();
-      PendingReplay unit = std::move(*pending);
-      pending.reset();
-      if (unit.is_creation) {
-        if (ctx->parent_initialized()) return Status::OK();
-        return ctx->ReplayCreation(unit.creation.ctor_args,
-                                   std::move(unit.feed));
-      }
-      Component* parent = ctx->parent();
-      PHX_CHECK(parent != nullptr);
-      CallMessage msg = MessageFromRecord(unit.incoming, parent->uri());
-      Result<ReplyMessage> reply =
-          ctx->ReplayIncoming(msg, std::move(unit.feed));
-      return reply.ok() ? Status::OK() : std::move(reply).status();
-    };
-
-    LogReader reader(log, local_origin);
-    reader.EnableSalvage();
-    if (sharded) reader.EnableGsnPrefix();
-    while (auto parsed = reader.Next()) {
-      sim->clock().AdvanceMs(sim->costs().recovery_scan_record_ms);
-      if (const auto* creation = std::get_if<CreationRecord>(&parsed->record);
-          creation != nullptr && creation->context_id == context_id &&
-          parsed->lsn == local_origin) {
-        PendingReplay unit;
-        unit.is_creation = true;
-        unit.start_lsn = parsed->lsn;
-        unit.creation = *creation;
-        pending = std::move(unit);
-      } else if (const auto* incoming =
-                     std::get_if<IncomingCallRecord>(&parsed->record);
-                 incoming != nullptr && incoming->context_id == context_id) {
-        status = flush();
-        if (!status.ok()) break;
-        PendingReplay unit;
-        unit.start_lsn = parsed->lsn;
-        unit.incoming = *incoming;
-        pending = std::move(unit);
-      } else if (const auto* reply =
-                     std::get_if<ReplyReceivedRecord>(&parsed->record);
-                 reply != nullptr && reply->context_id == context_id &&
-                 pending.has_value()) {
-        pending->feed.replies[reply->seq] = *reply;
-      }
-    }
-    if (status.ok()) status = flush();
+    OrderedLogCursor cursor({image}, info.recovery_order);
+    status = manager.ReplayScan(cursor);
   }
-
   proc.set_recovering(false);
   return status;
 }
@@ -547,7 +474,8 @@ Status RecoveryManager::RestoreContextStates(RestoreLanes& lanes) {
     if (info.recovery_lsn == kInvalidLsn) continue;
 
     lanes.Take();
-    Status status = RestoreOneContext(context_id, info);
+    Status status = RestoreOneContext(
+        context_id, info, proc.log().ReadRecordAtLsn(info.recovery_lsn));
     // Salvage: the recovery LSN points at bit-rotted or skipped bytes.
     // State records are redundant — the same state is reachable by replay
     // from an older state record, or from the creation record.
@@ -565,7 +493,8 @@ Status RecoveryManager::RestoreContextStates(RestoreLanes& lanes) {
                              obs::Arg("fallback_lsn", fallback)});
       SetOrigin(info, fallback);
       info.restored_from_state = false;
-      status = RestoreOneContext(context_id, info);
+      status = RestoreOneContext(context_id, info,
+                                 proc.log().ReadRecordAtLsn(fallback));
     }
     if (status.ok() && proc.MaybeCrash(FailurePoint::kDuringRecoveryRestore)) {
       status = Status::Crashed("crashed during state reinstatement");
@@ -577,13 +506,13 @@ Status RecoveryManager::RestoreContextStates(RestoreLanes& lanes) {
 }
 
 Status RecoveryManager::RestoreOneContext(uint64_t context_id,
-                                          ContextInfo& info) {
+                                          ContextInfo& info,
+                                          Result<LogRecord> origin) {
   Process& proc = *process_;
   Simulation* sim = proc.simulation();
 
-  Result<LogRecord> read = proc.log().ReadRecordAtLsn(info.recovery_lsn);
-  if (!read.ok()) return std::move(read).status();
-  LogRecord record = std::move(read).value();
+  if (!origin.ok()) return std::move(origin).status();
+  LogRecord record = std::move(origin).value();
 
   if (const auto* state = std::get_if<ContextStateRecord>(&record)) {
     // Object creation + registration, then field restore (§5.4 measures
@@ -620,6 +549,9 @@ Status RecoveryManager::RestoreOneContext(uint64_t context_id,
                       creation->name, creation->kind, context_id);
     proc.IndexComponentName(creation->name, context_id);
     ctx->set_creation_lsn(info.recovery_lsn);
+    // Replay re-derives the outgoing sequence from the creation on; a
+    // failed context (RecoverContextFailure) still holds its old one.
+    ctx->set_last_outgoing_seq(0);
     return Status::OK();
   }
   return Status::Corruption(
@@ -684,7 +616,13 @@ Status RecoveryManager::PassTwo() {
     // Fell back: the sequential scan below is the reference semantics.
   }
 
-  in_pass_two_ = true;
+  OrderedLogCursor cursor(proc.log(), scan_start);
+  return ReplayScan(cursor);
+}
+
+Status RecoveryManager::ReplayScan(OrderedLogCursor& cursor) {
+  Process& proc = *process_;
+  Simulation* sim = proc.simulation();
   // Live calls arriving mid-recovery (a peer's retry) force the target
   // context's pending replay to finish first.
   proc.SetPendingFlusher([this](uint64_t context_id) {
@@ -692,7 +630,6 @@ Status RecoveryManager::PassTwo() {
   });
 
   Status result = Status::OK();
-  OrderedLogCursor cursor(proc.log(), scan_start);
   while (std::optional<OrderedRecord> rec = cursor.Next()) {
     ++stats_.records_scanned;
     sim->clock().AdvanceMs(sim->costs().recovery_scan_record_ms);
@@ -757,7 +694,6 @@ Status RecoveryManager::PassTwo() {
   }
 
   proc.SetPendingFlusher(nullptr);
-  in_pass_two_ = false;
   return result;
 }
 
@@ -922,7 +858,6 @@ bool RecoveryManager::TryParallelPassTwo(uint64_t scan_start,
     // end-of-log pending set. Flush oldest first with the demand flusher
     // installed, so a unit that goes live and calls into a context whose
     // tail has not replayed yet forces that unit through first.
-    in_pass_two_ = true;
     proc.SetPendingFlusher([this](uint64_t context_id) {
       (void)FlushPending(context_id);
     });
@@ -932,7 +867,6 @@ bool RecoveryManager::TryParallelPassTwo(uint64_t scan_start,
     }
     status = FlushAllPendingOldestFirst();
     proc.SetPendingFlusher(nullptr);
-    in_pass_two_ = false;
   }
   *result = status;
   return true;

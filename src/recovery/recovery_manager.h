@@ -19,10 +19,10 @@ class RestoreLanes;
 
 // Recovers a single failed context (§4.4's "easier" case): the process and
 // its tables survive, only `context_id`'s component instances were lost
-// (Context::ClearMembers). The state record LSN is read from the surviving
-// context table entry, the state (or blank creation) is restored, and the
-// context's records — including the still-buffered unforced tail, which a
-// context failure does not lose — are replayed.
+// (Context::ClearMembers). The origin LSN is read from the surviving context
+// table entry. Crash recovery's own restore and pass-2 replay then run over
+// the context's shard image, including the still-buffered unforced tail,
+// which a context failure does not lose.
 Status RecoverContextFailure(Process* process, uint64_t context_id);
 
 // How aggressively a recovery attempt degrades, one value per rung of the
@@ -80,6 +80,8 @@ class RecoveryManager {
   const Stats& stats() const { return stats_; }
 
  private:
+  friend Status RecoverContextFailure(Process* process, uint64_t context_id);
+
   // Per-context facts gathered in pass 1.
   struct ContextInfo {
     uint64_t recovery_lsn = kInvalidLsn;
@@ -109,15 +111,21 @@ class RecoveryManager {
   // Restores every context with an origin record in context-id order, each
   // (salvage fallback included) charged to the lane `lanes` picks for it.
   Status RestoreContextStates(RestoreLanes& lanes);
-  // Restores one context from the record at info.recovery_lsn; kCorruption
-  // when the record is unreadable or of the wrong type.
-  Status RestoreOneContext(uint64_t context_id, ContextInfo& info);
+  // Restores one context from `origin`, the read of the record at
+  // info.recovery_lsn; kCorruption when it is unreadable or of the wrong
+  // type.
+  Status RestoreOneContext(uint64_t context_id, ContextInfo& info,
+                           Result<LogRecord> origin);
   // Salvage: newest readable replay origin for `context_id` strictly below
   // `bad_lsn` — a state record if one survives, else the creation record;
   // kInvalidLsn when neither is readable.
   uint64_t FindFallbackOrigin(uint64_t context_id, uint64_t bad_lsn);
   void InstallTables();
   Status PassTwo();
+  // Pass 2's sequential replay: drains `cursor`, buffering each context's
+  // records per incoming call and replaying a unit once the next one
+  // arrives, then flushes the end-of-log units oldest first.
+  Status ReplayScan(OrderedLogCursor& cursor);
   // Plan-driven parallel pass 2 (recovery/replay_plan.h), attempted when
   // RuntimeOptions.parallel_replay is on: builds the chain/edge plan from
   // `scan_start` (an order), replays non-final units as overlapping
@@ -143,7 +151,6 @@ class RecoveryManager {
   std::map<LastCallTable::Key, LastCallEntry> rebuilt_last_calls_;
   std::map<std::string, RemoteTypeInfo> rebuilt_remote_types_;
   std::map<uint64_t, PendingReplay> pending_;
-  bool in_pass_two_ = false;
 };
 
 }  // namespace phoenix

@@ -1,9 +1,11 @@
 #include "wal/log_dump.h"
 
-#include <algorithm>
+#include <optional>
 
 #include "common/strings.h"
 #include "runtime/kinds.h"
+#include "wal/log_manager.h"
+#include "wal/merged_log_reader.h"
 #include "wal/shard_router.h"
 
 namespace phoenix {
@@ -143,6 +145,9 @@ std::string DumpLogImpl(const LogView& view,
   if (view.base > 0) {
     out += StrCat("  (head truncated below lsn ", view.base, ")\n");
   }
+  std::string forced = view.gsn_prefixed()
+                           ? StrCat("  (shard ", view.shard(), " forced")
+                           : std::string("  (forced");
   LogReader reader(view, view.base);
   reader.EnableSalvage();
   size_t printed_skips = 0;
@@ -153,7 +158,7 @@ std::string DumpLogImpl(const LogView& view,
     while (next_mark < marks->size() && (*marks)[next_mark].end_lsn <= lsn) {
       const ForceMark& mark = (*marks)[next_mark++];
       if (mark.end_lsn < view.base) continue;  // pre-truncation history
-      out += StrCat("  (forced up to lsn ", mark.end_lsn, ": ",
+      out += StrCat(forced, " up to lsn ", mark.end_lsn, ": ",
                     ForcePointName(mark.reason), ")\n");
     }
   };
@@ -165,12 +170,12 @@ std::string DumpLogImpl(const LogView& view,
                     " byte(s) skipped at lsn ", range.from_lsn, ")\n");
     }
     emit_marks_below(parsed->lsn);
-    out += StrCat("  lsn ", parsed->lsn, "  ",
-                  DescribeRecord(parsed->record));
+    out += StrCat("  lsn ", parsed->lsn, "  ");
+    if (view.gsn_prefixed()) out += StrCat("gsn ", parsed->order, "  ");
+    out += DescribeRecord(parsed->record);
     if (annotations != nullptr) {
-      if (auto it = annotations->find(parsed->lsn); it != annotations->end()) {
-        out += StrCat("  ", it->second);
-      }
+      auto it = annotations->find(MakeShardLsn(view.shard(), parsed->lsn));
+      if (it != annotations->end()) out += StrCat("  ", it->second);
     }
     out += "\n";
   }
@@ -205,80 +210,22 @@ std::string DumpLog(const LogView& view, const std::vector<ForceMark>& marks,
   return DumpLogImpl(view, &marks, &annotations);
 }
 
-std::string DumpShardedLogs(const std::vector<ShardDumpInput>& shards,
-                            const LogAnnotations& annotations) {
-  std::string out;
-  struct MergeEntry {
-    uint64_t order;
-    uint32_t shard;
-    uint64_t composite_lsn;
-    std::string description;
-  };
-  std::vector<MergeEntry> merged;
-
-  for (const ShardDumpInput& input : shards) {
-    out += StrCat("--- shard ", input.shard, ": ", input.log_name, " ---\n");
-    if (input.view.base > 0) {
-      out += StrCat("  (head truncated below lsn ", input.view.base, ")\n");
-    }
-    LogReader reader(input.view, input.view.base);
-    reader.EnableSalvage();
-    reader.EnableGsnPrefix();
-    size_t printed_skips = 0;
-    size_t next_mark = 0;
-    auto emit_marks_below = [&](uint64_t lsn) {
-      if (input.marks == nullptr) return;
-      while (next_mark < input.marks->size() &&
-             (*input.marks)[next_mark].end_lsn <= lsn) {
-        const ForceMark& mark = (*input.marks)[next_mark++];
-        if (mark.end_lsn < input.view.base) continue;  // pre-truncation
-        out += StrCat("  (shard ", input.shard, " forced up to lsn ",
-                      mark.end_lsn, ": ", ForcePointName(mark.reason), ")\n");
-      }
-    };
-    while (auto parsed = reader.Next()) {
-      while (printed_skips < reader.skipped_ranges().size()) {
-        const SkippedRange& range = reader.skipped_ranges()[printed_skips++];
-        out += StrCat("  (unreadable: ", range.to_lsn - range.from_lsn,
-                      " byte(s) skipped at lsn ", range.from_lsn, ")\n");
-      }
-      emit_marks_below(parsed->lsn);
-      std::string description = DescribeRecord(parsed->record);
-      uint64_t composite = MakeShardLsn(input.shard, parsed->lsn);
-      out += StrCat("  lsn ", parsed->lsn, "  gsn ", parsed->order, "  ",
-                    description);
-      if (auto it = annotations.find(composite); it != annotations.end()) {
-        out += StrCat("  ", it->second);
-      }
-      out += "\n";
-      merged.push_back(MergeEntry{parsed->order, input.shard, composite,
-                                  std::move(description)});
-    }
-    while (printed_skips < reader.skipped_ranges().size()) {
-      const SkippedRange& range = reader.skipped_ranges()[printed_skips++];
-      out += StrCat("  (unreadable: ", range.to_lsn - range.from_lsn,
-                    " byte(s) skipped at lsn ", range.from_lsn, ")\n");
-    }
-    emit_marks_below(input.view.base + input.view.bytes->size());
-    if (reader.tail_torn()) {
-      uint64_t log_end = input.view.base + input.view.bytes->size();
-      out += StrCat("  (torn tail: first bad frame at lsn ",
-                    reader.torn_offset(), ", ",
-                    log_end - reader.torn_offset(), " byte(s) unreadable)\n");
-    }
+std::string DumpLog(const LogManager& log, const LogAnnotations& annotations) {
+  if (!log.sharded()) {
+    return DumpLog(log.StableView(), log.force_marks(), annotations);
   }
-
-  std::sort(merged.begin(), merged.end(),
-            [](const MergeEntry& a, const MergeEntry& b) {
-              return a.order != b.order ? a.order < b.order
-                                        : a.shard < b.shard;
-            });
+  std::string out;
+  for (uint32_t s = 0; s < log.shard_count(); ++s) {
+    out += StrCat("--- shard ", s, ": ", log.shard_log_name(s), " ---\n");
+    out += DumpLog(log.ShardStableView(s), log.shard_force_marks(s),
+                   annotations);
+  }
   out += "--- merge view (by gsn) ---\n";
-  for (const MergeEntry& entry : merged) {
-    out += StrCat("  gsn ", entry.order, "  shard ", entry.shard, "  lsn ",
-                  LocalOfLsn(entry.composite_lsn), "  ", entry.description);
-    if (auto it = annotations.find(entry.composite_lsn);
-        it != annotations.end()) {
+  OrderedLogCursor cursor(log, log.head_order());
+  while (std::optional<OrderedRecord> rec = cursor.Next()) {
+    out += StrCat("  gsn ", rec->order, "  shard ", rec->shard, "  lsn ",
+                  LocalOfLsn(rec->lsn), "  ", DescribeRecord(rec->record));
+    if (auto it = annotations.find(rec->lsn); it != annotations.end()) {
       out += StrCat("  ", it->second);
     }
     out += "\n";

@@ -11,6 +11,8 @@
 
 namespace phoenix {
 
+class LogManager;
+
 // Canonical name of a record type ("IncomingCall", "ContextState", ...).
 const char* LogRecordTypeName(LogRecordType type);
 
@@ -18,42 +20,36 @@ const char* LogRecordTypeName(LogRecordType type);
 // method and a bounded preview of the payload.
 std::string DescribeRecord(const LogRecord& record);
 
-// Multi-line dump of a whole log view: one "lsn <n> <description>" line per
-// record, plus a torn-tail note when the scan stops early. For debugging
-// and the trace tool.
+// Multi-line dump of one log image, read by its format: one
+// "lsn <n> <description>" line per record (with "gsn <g>" after the lsn on a
+// gsn-prefixed image), plus notes where the salvaging scan skipped
+// unreadable bytes and where a torn tail stops it. For debugging and the
+// trace tool.
 std::string DumpLog(const LogView& view);
 
 // Same, interleaving the writer's force marks: after the last record each
-// force covered, a "(forced up to lsn <n>: <reason>)" line shows where the
-// durability boundary fell and which ForcePoint paid for it. Marks from a
-// previous process incarnation (below the view's range) are elided.
+// force covered, a "(forced up to lsn <n>: <reason>)" line — prefixed
+// "shard <k>" on a gsn-prefixed image — shows where the durability boundary
+// fell and which ForcePoint paid for it. Marks from a previous process
+// incarnation (below the view's range) are elided.
 std::string DumpLog(const LogView& view, const std::vector<ForceMark>& marks);
 
-// Per-LSN notes appended after the matching record's line. Built by higher
-// layers (e.g. the replay planner's chain/edge view in phoenix_trace's
-// --plan mode); wal/ only renders them so it stays below recovery/.
+// Per-LSN notes appended after the matching record's line, keyed by
+// composite LSN (wal/shard_router.h; the plain LSN on a single log). Built
+// by higher layers (e.g. the replay planner's chain/edge view in
+// phoenix_trace's --plan mode); wal/ only renders them so it stays below
+// recovery/.
 using LogAnnotations = std::map<uint64_t, std::string>;
 std::string DumpLog(const LogView& view, const std::vector<ForceMark>& marks,
                     const LogAnnotations& annotations);
 
-// --- sharded WAL layouts ---
-
-// One shard's inputs for a multi-shard dump. `view` and `marks` use
-// shard-local offsets; record frames carry the gsn payload prefix.
-struct ShardDumpInput {
-  uint32_t shard = 0;
-  std::string log_name;
-  LogView view;
-  const std::vector<ForceMark>* marks = nullptr;
-};
-
-// Multi-shard dump: a per-shard record listing (shard-local lsn plus gsn
-// per line, ForceMark attribution lines carrying the shard id), followed
-// by a global-sequence merge view ordering all shards' records by gsn.
-// `annotations` is keyed by composite LSN (wal/shard_router.h) and is
-// rendered in both the per-shard listing and the merge view.
-std::string DumpShardedLogs(const std::vector<ShardDumpInput>& shards,
-                            const LogAnnotations& annotations = {});
+// The whole stable log of a process, each shard listed as above with its
+// force marks. A single log is just its listing. A sharded log lists each
+// shard under a "--- shard <k>: <name> ---" header, then a merge view: every
+// record once, in gsn order, drawn from OrderedLogCursor. `annotations`
+// render in the listings and the merge view.
+std::string DumpLog(const LogManager& log,
+                    const LogAnnotations& annotations = {});
 
 }  // namespace phoenix
 

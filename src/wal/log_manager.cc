@@ -15,20 +15,18 @@ LogManager::LogManager(std::string log_name, StableStorage* storage,
       costs_(costs),
       shard_count_(shard_count),
       router_(shard_count_, shard_seed),
-      writer_(log_name, storage, disk, clock),
-      pipeline_(&writer_, clock, costs),
       well_known_name_(log_name + ".wkf") {
   PHX_CHECK(shard_count_ >= 1 && shard_count_ <= kMaxWalShards);
-  for (uint32_t s = 1; s < shard_count_; ++s) {
-    extra_shards_.push_back(std::make_unique<ExtraShard>(
-        StrCat(log_name, ".s", s), storage, disk, clock, costs));
+  for (uint32_t s = 0; s < shard_count_; ++s) {
+    shards_.push_back(std::make_unique<Shard>(
+        s == 0 ? log_name : StrCat(log_name, ".s", s), storage, disk, clock,
+        costs));
   }
   if (sharded()) RecoverNextGsn();
 }
 
 std::string LogManager::shard_log_name(uint32_t shard) const {
-  return shard == 0 ? writer_.log_name()
-                    : extra_shards_[shard - 1]->writer.log_name();
+  return shard_writer(shard).log_name();
 }
 
 void LogManager::RecoverNextGsn() {
@@ -36,7 +34,6 @@ void LogManager::RecoverNextGsn() {
   for (uint32_t s = 0; s < shard_count_; ++s) {
     LogReader reader(ShardStableView(s), shard_head_base(s));
     reader.EnableSalvage();
-    reader.EnableGsnPrefix();
     while (auto parsed = reader.Next()) {
       if (parsed->order > max_gsn) max_gsn = parsed->order;
     }
@@ -45,15 +42,9 @@ void LogManager::RecoverNextGsn() {
 }
 
 uint64_t LogManager::Append(const LogRecord& record) {
-  if (!sharded()) {
-    Encoder enc;
-    EncodeLogRecord(record, enc);
-    clock_->AdvanceMs(costs_->log_append_ms);
-    return writer_.AppendPayload(enc.buffer());
-  }
   uint32_t shard = router_.ShardForRecord(record);
   Encoder enc;
-  enc.PutU64(next_gsn_++);  // gsn prefix, inside the frame CRC
+  if (sharded()) enc.PutU64(next_gsn_++);  // gsn prefix, inside the frame CRC
   EncodeLogRecord(record, enc);
   clock_->AdvanceMs(costs_->log_append_ms);
   uint64_t local = shard_writer(shard).AppendPayload(enc.buffer());
@@ -77,8 +68,7 @@ void LogManager::Force(ForcePoint reason) {
 }
 
 bool LogManager::IsStable(uint64_t lsn) const {
-  if (!sharded()) return writer_.IsStable(lsn);
-  if (lsn == kInvalidLsn) return false;
+  if (ShardOfLsn(lsn) >= shard_count_) return false;  // kInvalidLsn too
   return shard_writer(ShardOfLsn(lsn)).IsStable(LocalOfLsn(lsn));
 }
 
@@ -90,39 +80,36 @@ void LogManager::DropBuffer() {
 }
 
 const std::vector<uint8_t>& LogManager::StableLog() const {
-  return storage_->ReadLog(writer_.log_name());
+  return ShardStableLog(0);
 }
 
-LogView LogManager::StableView() const {
-  return LogView{&StableLog(), storage_->LogBase(writer_.log_name())};
-}
+LogView LogManager::StableView() const { return ShardStableView(0); }
 
 const std::vector<uint8_t>& LogManager::ShardStableLog(uint32_t shard) const {
   return storage_->ReadLog(shard_writer(shard).log_name());
 }
 
 LogView LogManager::ShardStableView(uint32_t shard) const {
-  return LogView{&ShardStableLog(shard),
-                 storage_->LogBase(shard_writer(shard).log_name())};
+  return ShardView(shard, &ShardStableLog(shard));
 }
 
-std::vector<uint8_t> LogManager::FullLog() const {
-  std::vector<uint8_t> image = StableLog();
-  const std::vector<uint8_t>& buffered = writer_.buffer();
-  image.insert(image.end(), buffered.begin(), buffered.end());
-  return image;
-}
-
-std::vector<uint8_t> LogManager::ShardFullLog(uint32_t shard) const {
-  std::vector<uint8_t> image = ShardStableLog(shard);
+LogView LogManager::ShardFullView(uint32_t shard,
+                                  std::vector<uint8_t>* image) const {
+  *image = ShardStableLog(shard);
   const std::vector<uint8_t>& buffered = shard_writer(shard).buffer();
-  image.insert(image.end(), buffered.begin(), buffered.end());
-  return image;
+  image->insert(image->end(), buffered.begin(), buffered.end());
+  return ShardView(shard, image);
 }
 
-uint64_t LogManager::head_base() const {
-  return storage_->LogBase(writer_.log_name());
+LogView LogManager::ShardView(uint32_t shard,
+                              const std::vector<uint8_t>* bytes) const {
+  LogView view(bytes, shard_head_base(shard));
+  view.shard_ = shard;
+  view.gsn_prefixed_ = sharded();
+  return view;
 }
+
+uint64_t LogManager::head_base() const { return shard_head_base(0); }
 
 uint64_t LogManager::shard_head_base(uint32_t shard) const {
   return storage_->LogBase(shard_writer(shard).log_name());
@@ -135,9 +122,8 @@ void LogManager::TrimShardHead(uint32_t shard, uint64_t local_lsn) {
 }
 
 void LogManager::TruncateStableTail(uint64_t end_lsn) {
-  uint32_t shard = sharded() ? ShardOfLsn(end_lsn) : 0;
-  uint64_t local = sharded() ? LocalOfLsn(end_lsn) : end_lsn;
-  LogWriter& writer = shard_writer(shard);
+  uint64_t local = LocalOfLsn(end_lsn);
+  LogWriter& writer = shard_writer(ShardOfLsn(end_lsn));
   uint64_t old_end = storage_->LogSize(writer.log_name());
   storage_->TruncateLog(writer.log_name(), local);
   writer.ResetStableEnd(storage_->LogSize(writer.log_name()));
@@ -155,24 +141,19 @@ void LogManager::TruncateStableTail(uint64_t end_lsn) {
   }
 }
 
-Result<LogRecord> LogManager::ReadRecordAtLsn(uint64_t lsn) const {
-  if (!sharded()) return ReadRecordAt(StableView(), lsn);
-  if (lsn == kInvalidLsn) return Status::Corruption("invalid lsn");
-  uint32_t shard = ShardOfLsn(lsn);
-  if (shard >= shard_count_) return Status::Corruption("lsn shard out of range");
-  return ReadPrefixedRecordAt(ShardStableView(shard), LocalOfLsn(lsn));
+Result<LogRecord> LogManager::ReadRecordAtLsn(uint64_t lsn,
+                                              uint64_t* order_out) const {
+  if (ShardOfLsn(lsn) >= shard_count_) {  // kInvalidLsn too
+    return Status::Corruption("lsn out of range");
+  }
+  return ReadRecordAt(ShardStableView(ShardOfLsn(lsn)), LocalOfLsn(lsn),
+                      order_out);
 }
 
 Result<uint64_t> LogManager::OrderOfRecordAt(uint64_t lsn) const {
   if (!sharded()) return lsn;  // single log: position is the order
-  if (lsn == kInvalidLsn) return Status::Corruption("invalid lsn");
-  uint32_t shard = ShardOfLsn(lsn);
-  if (shard >= shard_count_) return Status::Corruption("lsn shard out of range");
   uint64_t order = 0;
-  PHX_ASSIGN_OR_RETURN(
-      LogRecord record,
-      ReadPrefixedRecordAt(ShardStableView(shard), LocalOfLsn(lsn), &order));
-  (void)record;
+  PHX_RETURN_IF_ERROR(ReadRecordAtLsn(lsn, &order).status());
   return order;
 }
 
@@ -197,49 +178,41 @@ void LogManager::BindObs(obs::MetricsRegistry* metrics, obs::Tracer* tracer,
   metrics_ = metrics;
   tracer_ = tracer;
   component_ = component;
-  pipeline_.BindObs(metrics, tracer, component);
-  writer_.BindObs(metrics, tracer, component);
-  if (sharded()) {
+  for (uint32_t s = 0; s < shard_count_; ++s) {
+    Shard& shard = *shards_[s];
+    shard.pipeline.BindObs(metrics, tracer, component);
+    shard.writer.BindObs(metrics, tracer, component);
     // Per-shard series (phoenix.wal.shard.*) exist only in sharded mode so
     // single-log metric output is untouched.
-    writer_.SetShardObs(0);
-    pipeline_.set_shard_id(0);
-    pipeline_.SetShardObs(true);
-    for (uint32_t s = 1; s < shard_count_; ++s) {
-      ExtraShard& shard = *extra_shards_[s - 1];
-      shard.writer.BindObs(metrics, tracer, component);
-      shard.writer.SetShardObs(s);
-      shard.pipeline.BindObs(metrics, tracer, component);
-      shard.pipeline.set_shard_id(s);
-      shard.pipeline.SetShardObs(true);
-    }
+    if (!sharded()) continue;
+    shard.writer.SetShardObs(s);
+    shard.pipeline.set_shard_id(s);
+    shard.pipeline.SetShardObs(true);
   }
 }
 
 void LogManager::SetTraceScope(obs::TraceScope* scope) {
-  writer_.SetTraceScope(scope);
-  pipeline_.SetTraceScope(scope);
-  for (auto& shard : extra_shards_) {
+  for (auto& shard : shards_) {
     shard->writer.SetTraceScope(scope);
     shard->pipeline.SetTraceScope(scope);
   }
 }
 
 uint64_t LogManager::num_appends() const {
-  uint64_t total = writer_.num_appends();
-  for (const auto& shard : extra_shards_) total += shard->writer.num_appends();
+  uint64_t total = 0;
+  for (const auto& shard : shards_) total += shard->writer.num_appends();
   return total;
 }
 
 uint64_t LogManager::num_forces() const {
-  uint64_t total = writer_.num_forces();
-  for (const auto& shard : extra_shards_) total += shard->writer.num_forces();
+  uint64_t total = 0;
+  for (const auto& shard : shards_) total += shard->writer.num_forces();
   return total;
 }
 
 uint64_t LogManager::bytes_forced() const {
-  uint64_t total = writer_.bytes_forced();
-  for (const auto& shard : extra_shards_) total += shard->writer.bytes_forced();
+  uint64_t total = 0;
+  for (const auto& shard : shards_) total += shard->writer.bytes_forced();
   return total;
 }
 

@@ -24,15 +24,18 @@ namespace phoenix {
 // and its well-known file, and is the single point through which message
 // interceptors, the checkpoint manager, and recovery touch the log.
 //
-// Sharded mode (shard_count > 1): the manager multiplexes N shard logs,
-// each with its own LogWriter and CommitPipeline (durable horizon). A
-// deterministic seeded router sends every context's records to one shard
-// (wal/shard_router.h), LSNs become composite (shard id in the top 16
-// bits), and every frame payload carries a global sequence number so
-// recovery can k-way merge the shards back into append order. Shard 0
-// keeps the plain log name (and the well-known file); shard k > 0 lives
-// in "<log_name>.s<k>". With shard_count == 1 every code path below is
-// the pre-sharding single-log path, byte for byte.
+// The log is a vector of N shard logs (N = 1 by default), each with its own
+// LogWriter and CommitPipeline (durable horizon). Shard 0 keeps the plain
+// log name and the well-known file; shard k > 0 lives in
+// "<log_name>.s<k>". A deterministic seeded router sends every context's
+// records to one shard (wal/shard_router.h), and an LSN is composite (shard
+// id in the top 16 bits), so on shard 0 it is the plain byte offset.
+//
+// This class alone decides the frame format. With N > 1 every frame payload
+// starts with a global sequence number, so readers can k-way merge the
+// shards back into append order; with N = 1 frames carry no prefix and a
+// record's order is its LSN. The shard images it hands out (LogView) carry
+// that format, and every reader reads an image by it.
 class LogManager {
  public:
   // `log_name` is the durable name, e.g. "machineA/proc1.log"; the
@@ -50,8 +53,6 @@ class LogManager {
   bool sharded() const { return shard_count_ > 1; }
   const ShardRouter& router() const { return router_; }
   std::string shard_log_name(uint32_t shard) const;
-  // Next global sequence number a sharded append will stamp.
-  uint64_t next_gsn() const { return next_gsn_; }
 
   // Appends `record` to the owning shard's log buffer (charging the
   // buffer-copy CPU cost) and returns its LSN — composite in sharded mode.
@@ -71,7 +72,7 @@ class LogManager {
   // log); sharded callers go through WaitDurableShard per touched shard.
   Status WaitDurable(uint64_t up_to_lsn, ForcePoint reason,
                      bool allow_park = true) {
-    return pipeline_.WaitDurable(up_to_lsn, reason, allow_park);
+    return pipeline(0).WaitDurable(up_to_lsn, reason, allow_park);
   }
 
   // Waits until everything appended to `shard` so far is stable.
@@ -87,17 +88,15 @@ class LogManager {
   // composite in sharded mode; kInvalidLsn is never stable).
   bool IsStable(uint64_t lsn) const;
 
-  uint64_t next_lsn() const { return writer_.next_lsn(); }
+  uint64_t next_lsn() const { return shard_next_lsn(0); }
 
   // First LSN not yet durable (== stable_end_lsn(); pipeline vocabulary).
-  uint64_t durable_lsn() const { return writer_.stable_bytes(); }
+  uint64_t durable_lsn() const { return stable_end_lsn(); }
 
   // The durability half of the log (group-commit wiring lives here).
   // The no-argument form is shard 0 — the whole log when shard_count == 1.
-  CommitPipeline& pipeline() { return pipeline_; }
-  CommitPipeline& pipeline(uint32_t shard) {
-    return shard == 0 ? pipeline_ : extra_shards_[shard - 1]->pipeline;
-  }
+  CommitPipeline& pipeline() { return pipeline(0); }
+  CommitPipeline& pipeline(uint32_t shard) { return shards_[shard]->pipeline; }
 
   // Crash: the unforced buffers are gone, and pipeline waiters abort.
   void DropBuffer();
@@ -112,11 +111,11 @@ class LogManager {
   const std::vector<uint8_t>& ShardStableLog(uint32_t shard) const;
   LogView ShardStableView(uint32_t shard) const;
 
-  // Stable log plus the still-buffered tail. A *context* failure (§4.4)
-  // does not lose the process's buffer, so context recovery reads this
-  // combined image; process-crash recovery must use StableLog().
-  std::vector<uint8_t> FullLog() const;
-  std::vector<uint8_t> ShardFullLog(uint32_t shard) const;
+  // The stable log of `shard` plus its still-buffered tail, copied into
+  // *image, which must outlive the view. A *context* failure (§4.4) does
+  // not lose the process's buffer, so context recovery reads this image;
+  // process-crash recovery must use the stable views.
+  LogView ShardFullView(uint32_t shard, std::vector<uint8_t>* image) const;
 
   // Logical offset of the first retained byte (the garbage-collection
   // point). Shard 0; per-shard bases are shard-local.
@@ -135,7 +134,7 @@ class LogManager {
   void TrimShardHead(uint32_t shard, uint64_t local_lsn);
 
   // Logical LSN one past the last stable byte (shard 0 / single log).
-  uint64_t stable_end_lsn() const { return writer_.stable_bytes(); }
+  uint64_t stable_end_lsn() const { return shard_stable_end(0); }
   uint64_t shard_stable_end(uint32_t shard) const {
     return shard_writer(shard).stable_bytes();
   }
@@ -149,11 +148,12 @@ class LogManager {
   // appends. Recovery-time only; the buffer must be empty.
   void TruncateStableTail(uint64_t end_lsn);
 
-  // Reads the single record whose frame starts at `lsn` on the stable log
-  // (composite in sharded mode, where the gsn prefix is stripped). The
-  // shard-aware replacement for ReadRecordAt(StableView(), lsn).
-  Result<LogRecord> ReadRecordAtLsn(uint64_t lsn) const;
-  // Global sequence number of the sharded record at composite `lsn`.
+  // Reads the single record whose frame starts at composite `lsn` on the
+  // stable log: ReadRecordAt on the owning shard's stable view.
+  Result<LogRecord> ReadRecordAtLsn(uint64_t lsn,
+                                    uint64_t* order_out = nullptr) const;
+  // Order of the record at composite `lsn`: its global sequence number on
+  // a sharded log; on a single log the LSN itself, read or not.
   Result<uint64_t> OrderOfRecordAt(uint64_t lsn) const;
 
   // --- well-known file (§4.3): LSN of the last flushed begin-checkpoint ---
@@ -182,32 +182,30 @@ class LogManager {
   // ending below the new head, a tail truncation those past the new end.
   // Shard 0 / the whole log when shard_count == 1; offsets shard-local.
   const std::vector<ForceMark>& force_marks() const {
-    return writer_.force_marks();
+    return shard_force_marks(0);
   }
   const std::vector<ForceMark>& shard_force_marks(uint32_t shard) const {
     return shard_writer(shard).force_marks();
   }
 
-  const std::string& log_name() const { return writer_.log_name(); }
+  const std::string& log_name() const { return shard_writer(0).log_name(); }
 
  private:
-  // Shards 1..N-1; shard 0 is the writer_/pipeline_ pair below so the
-  // single-log configuration runs the exact pre-sharding code.
-  struct ExtraShard {
-    ExtraShard(std::string name, StableStorage* storage, DiskModel* disk,
-               SimClock* clock, const CostModel* costs)
+  struct Shard {
+    Shard(std::string name, StableStorage* storage, DiskModel* disk,
+          SimClock* clock, const CostModel* costs)
         : writer(std::move(name), storage, disk, clock),
           pipeline(&writer, clock, costs) {}
     LogWriter writer;
-    CommitPipeline pipeline;
+    CommitPipeline pipeline;  // points at `writer`, so a Shard never moves
   };
 
-  LogWriter& shard_writer(uint32_t shard) {
-    return shard == 0 ? writer_ : extra_shards_[shard - 1]->writer;
-  }
+  LogWriter& shard_writer(uint32_t shard) { return shards_[shard]->writer; }
   const LogWriter& shard_writer(uint32_t shard) const {
-    return shard == 0 ? writer_ : extra_shards_[shard - 1]->writer;
+    return shards_[shard]->writer;
   }
+  // `bytes` as an image of `shard`, in the shard's format.
+  LogView ShardView(uint32_t shard, const std::vector<uint8_t>* bytes) const;
 
   // Scans every shard's stable log for the largest stamped gsn, so a
   // restarted process resumes the global sequence where it left off.
@@ -219,9 +217,7 @@ class LogManager {
   const CostModel* costs_;
   uint32_t shard_count_;
   ShardRouter router_;
-  LogWriter writer_;
-  CommitPipeline pipeline_;
-  std::vector<std::unique_ptr<ExtraShard>> extra_shards_;
+  std::vector<std::unique_ptr<Shard>> shards_;
   std::string well_known_name_;
   uint64_t next_gsn_ = 1;
   std::function<void(uint32_t)> append_observer_;

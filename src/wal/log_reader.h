@@ -9,21 +9,42 @@
 
 namespace phoenix {
 
-// A decoded record plus its position on the log. `order` is the global
-// sequence number stamped into sharded frames (wal/shard_router.h); it is
-// only populated when the reader runs with EnableGsnPrefix(), and stays 0
-// on the single-log format.
+// A decoded record plus its position on the log. `order` is the record's
+// place in append order: the global sequence number stamped into a
+// gsn-prefixed frame (wal/shard_router.h), the lsn itself on a plain image,
+// where position is append order.
 struct ParsedRecord {
   uint64_t lsn = 0;
   uint64_t order = 0;
   LogRecord record;
 };
 
+class LogManager;
+
 // A log image with its logical base: byte i of *bytes is LSN base + i.
 // Head truncation (garbage collection) raises the base; LSNs stay stable.
-struct LogView {
+//
+// The image also carries its frame format, and only LogManager sets it:
+// which shard of the process log it is, and whether its frames carry the
+// gsn prefix (every shard of a sharded log does). Every reader — LogReader,
+// ReadRecordAt, OrderedLogCursor, the dump — reads an image by its own
+// format. An image built anywhere else is the plain single-log format.
+class LogView {
+ public:
+  LogView() = default;
+  LogView(const std::vector<uint8_t>* bytes, uint64_t base)
+      : bytes(bytes), base(base) {}
+
+  uint32_t shard() const { return shard_; }
+  bool gsn_prefixed() const { return gsn_prefixed_; }
+
   const std::vector<uint8_t>* bytes = nullptr;
   uint64_t base = 0;
+
+ private:
+  friend class LogManager;
+  uint32_t shard_ = 0;
+  bool gsn_prefixed_ = false;
 };
 
 // A half-open LSN range [from_lsn, to_lsn) the salvaging reader could not
@@ -33,9 +54,10 @@ struct SkippedRange {
   uint64_t to_lsn = 0;
 };
 
-// Sequential scanner over a stable log image. Stops cleanly at end-of-log;
-// stops and sets tail_torn() at a truncated frame or CRC mismatch — a torn
-// tail write from the crash, which recovery treats as the end of the log.
+// Sequential scanner over a log image, reading frames by the image's format
+// (LogView). Stops cleanly at end-of-log; stops and sets tail_torn() at a
+// truncated frame or CRC mismatch — a torn tail write from the crash, which
+// recovery treats as the end of the log.
 //
 // In salvage mode (EnableSalvage) a bad frame mid-log does not end the scan:
 // the reader searches forward for the next offset where a frame's length,
@@ -45,9 +67,9 @@ struct SkippedRange {
 // requires a 32-bit CRC collision on decodable bytes.
 class LogReader {
  public:
-  // `log` must outlive the reader. `start_lsn` is where scanning begins
-  // (0 for the whole log). The vector overload assumes base 0 (untruncated
-  // logs, unit tests); recovery uses the LogView overload.
+  // The image must outlive the reader. `start_lsn` is where scanning begins
+  // (0 for the whole log). The vector overload is a plain image at base 0
+  // (untruncated logs, unit tests); recovery uses the LogView overload.
   LogReader(const std::vector<uint8_t>& log, uint64_t start_lsn);
   LogReader(const LogView& view, uint64_t start_lsn);
 
@@ -57,10 +79,8 @@ class LogReader {
   // Skip unreadable mid-log regions instead of declaring a torn tail.
   void EnableSalvage() { salvage_ = true; }
 
-  // Sharded-log frame format: every payload starts with an 8-byte global
-  // sequence number (little endian) ahead of the encoded record. The
-  // prefix is inside the CRC, so frame validation is unchanged; decoding
-  // skips it and reports it as ParsedRecord::order.
+  // Reads every frame as gsn-prefixed. Redundant for images LogManager
+  // hands out, which carry their format.
   void EnableGsnPrefix() { gsn_prefix_ = true; }
 
   // Next record, or nullopt at (clean or torn) end.
@@ -85,12 +105,7 @@ class LogReader {
   uint64_t skipped_bytes() const { return skipped_bytes_; }
 
  private:
-  // Validates the frame at `lsn` (length, CRC, decode) and parses it into
-  // `out` on success.
-  bool ValidFrameAt(uint64_t lsn, ParsedRecord* out) const;
-
-  const std::vector<uint8_t>& log_;
-  uint64_t base_;
+  const LogView view_;
   uint64_t pos_;  // logical LSN
   bool salvage_ = false;
   bool gsn_prefix_ = false;
@@ -101,15 +116,11 @@ class LogReader {
   uint64_t skipped_bytes_ = 0;
 };
 
-// Reads the single record whose frame starts at `lsn`.
+// Reads the single record whose frame starts at `lsn`, by the image's
+// format; with a non-null `order_out`, also its order (ParsedRecord::order).
+Result<LogRecord> ReadRecordAt(const LogView& view, uint64_t lsn,
+                               uint64_t* order_out = nullptr);
 Result<LogRecord> ReadRecordAt(const std::vector<uint8_t>& log, uint64_t lsn);
-Result<LogRecord> ReadRecordAt(const LogView& view, uint64_t lsn);
-
-// Same, for a sharded (gsn-prefixed) frame; `lsn` is the shard-local
-// offset into `view`. On success *order_out (if non-null) receives the
-// frame's global sequence number.
-Result<LogRecord> ReadPrefixedRecordAt(const LogView& view, uint64_t lsn,
-                                       uint64_t* order_out = nullptr);
 
 }  // namespace phoenix
 

@@ -20,15 +20,15 @@ std::vector<LogView> StableViews(const LogManager& log) {
 OrderedLogCursor::OrderedLogCursor(const std::vector<LogView>& shards,
                                    uint64_t start_order)
     : start_order_(start_order), shards_(shards.size()) {
-  bool single = shards.size() == 1;
   for (size_t s = 0; s < shards.size(); ++s) {
     Shard& shard = shards_[s];
     shard.view = shards[s];
-    uint64_t from = single ? std::max(start_order, shard.view.base)
-                           : shard.view.base;
+    // A plain image's cut is a byte position; a gsn cut has none.
+    uint64_t from = shard.view.gsn_prefixed()
+                        ? shard.view.base
+                        : std::max(start_order, shard.view.base);
     shard.reader = std::make_unique<LogReader>(shard.view, from);
     shard.reader->EnableSalvage();
-    if (!single) shard.reader->EnableGsnPrefix();
   }
 }
 
@@ -40,7 +40,6 @@ void OrderedLogCursor::Fill(uint32_t s) {
   while (!shard.head.has_value()) {
     std::optional<ParsedRecord> parsed = shard.reader->Next();
     if (!parsed.has_value()) return;
-    if (shards_.size() == 1) parsed->order = parsed->lsn;
     if (shard.reader->records_read() > 1 && parsed->order <= shard.prev_order) {
       ++inversions_;
     }
@@ -69,7 +68,8 @@ std::optional<OrderedRecord> OrderedLogCursor::Next() {
   }
   if (!found) return std::nullopt;
   ParsedRecord& head = *shards_[best].head;
-  OrderedRecord out{MakeShardLsn(best, head.lsn), head.order, best,
+  uint32_t shard = shards_[best].view.shard();
+  OrderedRecord out{MakeShardLsn(shard, head.lsn), head.order, shard,
                     std::move(head.record)};
   shards_[best].head.reset();
   return out;
@@ -77,9 +77,9 @@ std::optional<OrderedRecord> OrderedLogCursor::Next() {
 
 std::vector<ShardDamage> OrderedLogCursor::damage() const {
   std::vector<ShardDamage> out;
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = shards_[s];
+  for (const Shard& shard : shards_) {
     if (!shard.reader->tail_torn() && shard.skipped.empty()) continue;
+    uint32_t s = shard.view.shard();
     ShardDamage damage;
     damage.shard = s;
     damage.tail_torn = shard.reader->tail_torn();

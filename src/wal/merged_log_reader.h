@@ -34,14 +34,17 @@ struct ShardDamage {
 };
 
 // The one way to read a process log in append order, whatever its layout: a
-// lazy, salvage-tolerant cursor over the shard images, started at an order
-// cut. One image is the single-log format, read from the cut (an LSN,
-// raised to the image's base) with order == lsn — a plain LogReader. Several
-// images are gsn-prefixed shard logs: each is read from its head, records
-// ordered below the cut are dropped, and the rest are k-way merged by gsn
-// (ties, impossible on a healthy log, go to the lower shard id). Nothing is
-// materialized beyond one lookahead record per shard, and, like LogReader,
-// a shard that reached its end is polled again on the next call.
+// lazy, salvage-tolerant cursor over shard images, started at an order cut.
+// Each image is read by its own format (LogView). A plain image — the
+// single-log format — is read from the cut (an LSN, raised to the image's
+// base) with order == lsn: a plain LogReader. A gsn-prefixed image is read
+// from its head and its records ordered below the cut are dropped. The
+// images' records are k-way merged by order (ties, impossible on a healthy
+// log, go to the earlier image, the lower shard id). Any subset of a log's
+// shards works, one shard alone included; records carry their image's
+// shard id. Nothing is materialized beyond one lookahead record per shard,
+// and, like LogReader, a shard that reached its end is polled again on the
+// next call.
 //
 // Damage below the cut is not reported, matching a single log, whose reader
 // never sees the bytes before the cut: a skipped range counts when the
@@ -51,8 +54,8 @@ struct ShardDamage {
 // A torn tail always counts.
 class OrderedLogCursor {
  public:
-  // `shards` are the shard images in shard-id order; they must outlive the
-  // cursor.
+  // `shards` are shard images from LogManager, in shard-id order; their
+  // bytes must outlive the cursor.
   OrderedLogCursor(const std::vector<LogView>& shards, uint64_t start_order);
   // The stable images of `log`'s shards (the process-crash recovery view).
   OrderedLogCursor(const LogManager& log, uint64_t start_order);

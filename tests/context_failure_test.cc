@@ -1,12 +1,16 @@
 // §4.4's "easier" case: a single context fails inside a healthy process.
 // The surviving context table entry points straight at the state (or
-// creation) record; the unforced log tail is NOT lost.
+// creation) record; the unforced log tail is NOT lost. Every case runs on a
+// single log and on 2 and 4 WAL shards, where recovery reads the context's
+// own shard.
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "recovery/checkpoint_manager.h"
 #include "recovery/recovery_manager.h"
 #include "tests/test_components.h"
+#include "wal/shard_router.h"
 
 namespace phoenix {
 namespace {
@@ -14,10 +18,14 @@ namespace {
 using phoenix::testing::ExecutionLog;
 using phoenix::testing::RegisterTestComponents;
 
+constexpr uint32_t kShardCounts[] = {1, 2, 4};
+
 class ContextFailureTest : public ::testing::Test {
  protected:
-  ContextFailureTest() {
-    sim_ = std::make_unique<Simulation>();
+  void SetUpSim(uint32_t shards) {
+    RuntimeOptions opts;
+    opts.wal_shards = shards;
+    sim_ = std::make_unique<Simulation>(opts);
     RegisterTestComponents(sim_->factories());
     alpha_ = &sim_->AddMachine("alpha");
     proc_ = &alpha_->CreateProcess();
@@ -30,131 +38,162 @@ class ContextFailureTest : public ::testing::Test {
 };
 
 TEST_F(ContextFailureTest, RecoverFromCreation) {
-  ExternalClient client(sim_.get(), "alpha");
-  auto uri = client.CreateComponent(*proc_, "Counter", "c",
-                                    ComponentKind::kPersistent, {});
-  for (int i = 1; i <= 4; ++i) {
-    ASSERT_TRUE(client.Call(*uri, "Add", MakeArgs(i)).ok());
-  }
-  Context* ctx = proc_->FindContextOfComponent("c");
-  uint64_t context_id = ctx->id();
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE(StrCat(shards, " shard(s)"));
+    SetUpSim(shards);
+    ExternalClient client(sim_.get(), "alpha");
+    auto uri = client.CreateComponent(*proc_, "Counter", "c",
+                                      ComponentKind::kPersistent, {});
+    for (int i = 1; i <= 4; ++i) {
+      ASSERT_TRUE(client.Call(*uri, "Add", MakeArgs(i)).ok());
+    }
+    Context* ctx = proc_->FindContextOfComponent("c");
+    uint64_t context_id = ctx->id();
 
-  ctx->ClearMembers();
-  ASSERT_TRUE(RecoverContextFailure(proc_, context_id).ok());
-  EXPECT_EQ(client.Call(*uri, "Get", {})->AsInt(), 10);
-  EXPECT_TRUE(proc_->alive());  // the process never died
+    ctx->ClearMembers();
+    ASSERT_TRUE(RecoverContextFailure(proc_, context_id).ok());
+    EXPECT_EQ(client.Call(*uri, "Get", {})->AsInt(), 10);
+    EXPECT_TRUE(proc_->alive());  // the process never died
+  }
 }
 
 TEST_F(ContextFailureTest, RecoverFromStateRecord) {
-  ExternalClient client(sim_.get(), "alpha");
-  auto uri = client.CreateComponent(*proc_, "Counter", "c",
-                                    ComponentKind::kPersistent, {});
-  for (int i = 0; i < 6; ++i) {
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE(StrCat(shards, " shard(s)"));
+    SetUpSim(shards);
+    ExternalClient client(sim_.get(), "alpha");
+    auto uri = client.CreateComponent(*proc_, "Counter", "c",
+                                      ComponentKind::kPersistent, {});
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(client.Call(*uri, "Add", MakeArgs(1)).ok());
+    }
+    Context* ctx = proc_->FindContextOfComponent("c");
+    ASSERT_TRUE(proc_->checkpoints().SaveContextState(*ctx).ok());
     ASSERT_TRUE(client.Call(*uri, "Add", MakeArgs(1)).ok());
-  }
-  Context* ctx = proc_->FindContextOfComponent("c");
-  ASSERT_TRUE(proc_->checkpoints().SaveContextState(*ctx).ok());
-  ASSERT_TRUE(client.Call(*uri, "Add", MakeArgs(1)).ok());
-  ASSERT_TRUE(client.Call(*uri, "Add", MakeArgs(1)).ok());
+    ASSERT_TRUE(client.Call(*uri, "Add", MakeArgs(1)).ok());
 
-  int executions = ExecutionLog::Of("c.Add");
-  ctx->ClearMembers();
-  ASSERT_TRUE(RecoverContextFailure(proc_, ctx->id()).ok());
-  // Only the two post-state calls replayed.
-  EXPECT_EQ(ExecutionLog::Of("c.Add"), executions + 2);
-  EXPECT_EQ(client.Call(*uri, "Get", {})->AsInt(), 8);
+    int executions = ExecutionLog::Of("c.Add");
+    ctx->ClearMembers();
+    ASSERT_TRUE(RecoverContextFailure(proc_, ctx->id()).ok());
+    // Only the two post-state calls replayed.
+    EXPECT_EQ(ExecutionLog::Of("c.Add"), executions + 2);
+    EXPECT_EQ(client.Call(*uri, "Get", {})->AsInt(), 8);
+  }
 }
 
 TEST_F(ContextFailureTest, UnforcedTailSurvivesContextFailure) {
-  // Unlike a process crash, a context failure keeps the log buffer — a
-  // call whose records were never forced is still recovered.
-  ExternalClient client(sim_.get(), "alpha");
-  auto uri = client.CreateComponent(*proc_, "Counter", "c",
-                                    ComponentKind::kPersistent, {});
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE(StrCat(shards, " shard(s)"));
+    SetUpSim(shards);
+    // Unlike a process crash, a context failure keeps the log buffer — a
+    // call whose records were never forced is still recovered.
+    ExternalClient client(sim_.get(), "alpha");
+    auto uri = client.CreateComponent(*proc_, "Counter", "c",
+                                      ComponentKind::kPersistent, {});
 
-  // Run one call, then save the context state WITHOUT any force: the state
-  // record exists only in the process's log buffer. Context recovery must
-  // still find it there.
-  CallMessage msg;
-  msg.target_uri = *uri;
-  msg.method = "Add";
-  msg.args = MakeArgs(100);
-  msg.has_call_id = true;
-  msg.call_id = CallId{ClientKey{"ghost", 9, 9}, 1};
-  msg.has_sender_info = true;
-  msg.sender_kind = ComponentKind::kPersistent;
-  ASSERT_TRUE(sim_->RouteCall("alpha", msg).ok());
+    // Run one call, then save the context state WITHOUT any force: the
+    // state record exists only in the process's log buffer. Context
+    // recovery must still find it there.
+    CallMessage msg;
+    msg.target_uri = *uri;
+    msg.method = "Add";
+    msg.args = MakeArgs(100);
+    msg.has_call_id = true;
+    msg.call_id = CallId{ClientKey{"ghost", 9, 9}, 1};
+    msg.has_sender_info = true;
+    msg.sender_kind = ComponentKind::kPersistent;
+    ASSERT_TRUE(sim_->RouteCall("alpha", msg).ok());
 
-  Context* ctx = proc_->FindContextOfComponent("c");
-  ASSERT_TRUE(proc_->checkpoints().SaveContextState(*ctx).ok());
-  ASSERT_FALSE(proc_->log().IsStable(ctx->state_record_lsn()));
+    Context* ctx = proc_->FindContextOfComponent("c");
+    ASSERT_TRUE(proc_->checkpoints().SaveContextState(*ctx).ok());
+    ASSERT_FALSE(proc_->log().IsStable(ctx->state_record_lsn()));
+    // On 4 shards the context routes to shard 2, so its origin lives only
+    // in a non-meta shard's buffer.
+    if (shards == 4) EXPECT_NE(ShardOfLsn(ctx->state_record_lsn()), 0u);
 
-  int executions = ExecutionLog::Of("c.Add");
-  ctx->ClearMembers();
-  ASSERT_TRUE(RecoverContextFailure(proc_, ctx->id()).ok());
-  EXPECT_EQ(ExecutionLog::Of("c.Add"), executions);  // restored, no replay
-  EXPECT_EQ(client.Call(*uri, "Get", {})->AsInt(), 100);
+    int executions = ExecutionLog::Of("c.Add");
+    ctx->ClearMembers();
+    ASSERT_TRUE(RecoverContextFailure(proc_, ctx->id()).ok());
+    EXPECT_EQ(ExecutionLog::Of("c.Add"), executions);  // restored, no replay
+    EXPECT_EQ(client.Call(*uri, "Get", {})->AsInt(), 100);
+  }
 }
 
 TEST_F(ContextFailureTest, OtherContextsUntouched) {
-  ExternalClient client(sim_.get(), "alpha");
-  auto a = client.CreateComponent(*proc_, "Counter", "a",
-                                  ComponentKind::kPersistent, {});
-  auto b = client.CreateComponent(*proc_, "Counter", "b",
-                                  ComponentKind::kPersistent, {});
-  ASSERT_TRUE(client.Call(*a, "Add", MakeArgs(1)).ok());
-  ASSERT_TRUE(client.Call(*b, "Add", MakeArgs(2)).ok());
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE(StrCat(shards, " shard(s)"));
+    SetUpSim(shards);
+    ExternalClient client(sim_.get(), "alpha");
+    auto a = client.CreateComponent(*proc_, "Counter", "a",
+                                    ComponentKind::kPersistent, {});
+    auto b = client.CreateComponent(*proc_, "Counter", "b",
+                                    ComponentKind::kPersistent, {});
+    ASSERT_TRUE(client.Call(*a, "Add", MakeArgs(1)).ok());
+    ASSERT_TRUE(client.Call(*b, "Add", MakeArgs(2)).ok());
 
-  Context* ctx_a = proc_->FindContextOfComponent("a");
-  Component* b_instance = proc_->FindComponent("b")->instance.get();
-  ctx_a->ClearMembers();
-  ASSERT_TRUE(RecoverContextFailure(proc_, ctx_a->id()).ok());
+    Context* ctx_a = proc_->FindContextOfComponent("a");
+    Component* b_instance = proc_->FindComponent("b")->instance.get();
+    ctx_a->ClearMembers();
+    ASSERT_TRUE(RecoverContextFailure(proc_, ctx_a->id()).ok());
 
-  // b's component object is literally the same instance.
-  EXPECT_EQ(proc_->FindComponent("b")->instance.get(), b_instance);
-  EXPECT_EQ(client.Call(*a, "Get", {})->AsInt(), 1);
-  EXPECT_EQ(client.Call(*b, "Get", {})->AsInt(), 2);
+    // b's component object is literally the same instance.
+    EXPECT_EQ(proc_->FindComponent("b")->instance.get(), b_instance);
+    EXPECT_EQ(client.Call(*a, "Get", {})->AsInt(), 1);
+    EXPECT_EQ(client.Call(*b, "Get", {})->AsInt(), 2);
+  }
 }
 
 TEST_F(ContextFailureTest, SubordinatesComeBackWithParent) {
-  ExternalClient client(sim_.get(), "alpha");
-  auto parent = client.CreateComponent(*proc_, "ParentWithSub", "p",
-                                       ComponentKind::kPersistent, {});
-  ASSERT_TRUE(client.Call(*parent, "BumpSub", MakeArgs(7)).ok());
-  Context* ctx = proc_->FindContextOfComponent("p");
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE(StrCat(shards, " shard(s)"));
+    SetUpSim(shards);
+    ExternalClient client(sim_.get(), "alpha");
+    auto parent = client.CreateComponent(*proc_, "ParentWithSub", "p",
+                                         ComponentKind::kPersistent, {});
+    ASSERT_TRUE(client.Call(*parent, "BumpSub", MakeArgs(7)).ok());
+    Context* ctx = proc_->FindContextOfComponent("p");
 
-  ctx->ClearMembers();
-  ASSERT_TRUE(RecoverContextFailure(proc_, ctx->id()).ok());
-  EXPECT_EQ(client.Call(*parent, "GetSub", {})->AsInt(), 7);
+    ctx->ClearMembers();
+    ASSERT_TRUE(RecoverContextFailure(proc_, ctx->id()).ok());
+    EXPECT_EQ(client.Call(*parent, "GetSub", {})->AsInt(), 7);
+  }
 }
 
 TEST_F(ContextFailureTest, UnknownContextIsNotFound) {
-  EXPECT_TRUE(RecoverContextFailure(proc_, 999).IsNotFound());
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE(StrCat(shards, " shard(s)"));
+    SetUpSim(shards);
+    EXPECT_TRUE(RecoverContextFailure(proc_, 999).IsNotFound());
+  }
 }
 
 TEST_F(ContextFailureTest, DuplicatesStillAnsweredAfterContextRecovery) {
-  ExternalClient client(sim_.get(), "alpha");
-  auto uri = client.CreateComponent(*proc_, "Counter", "c",
-                                    ComponentKind::kPersistent, {});
-  CallMessage msg;
-  msg.target_uri = *uri;
-  msg.method = "Add";
-  msg.args = MakeArgs(42);
-  msg.has_call_id = true;
-  msg.call_id = CallId{ClientKey{"ghost", 9, 9}, 7};
-  msg.has_sender_info = true;
-  msg.sender_kind = ComponentKind::kPersistent;
-  ASSERT_TRUE(sim_->RouteCall("alpha", msg).ok());
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE(StrCat(shards, " shard(s)"));
+    SetUpSim(shards);
+    ExternalClient client(sim_.get(), "alpha");
+    auto uri = client.CreateComponent(*proc_, "Counter", "c",
+                                      ComponentKind::kPersistent, {});
+    CallMessage msg;
+    msg.target_uri = *uri;
+    msg.method = "Add";
+    msg.args = MakeArgs(42);
+    msg.has_call_id = true;
+    msg.call_id = CallId{ClientKey{"ghost", 9, 9}, 7};
+    msg.has_sender_info = true;
+    msg.sender_kind = ComponentKind::kPersistent;
+    ASSERT_TRUE(sim_->RouteCall("alpha", msg).ok());
 
-  Context* ctx = proc_->FindContextOfComponent("c");
-  ctx->ClearMembers();
-  ASSERT_TRUE(RecoverContextFailure(proc_, ctx->id()).ok());
+    Context* ctx = proc_->FindContextOfComponent("c");
+    ctx->ClearMembers();
+    ASSERT_TRUE(RecoverContextFailure(proc_, ctx->id()).ok());
 
-  int executions = ExecutionLog::Of("c.Add");
-  Result<ReplyMessage> dup = sim_->RouteCall("alpha", msg);
-  ASSERT_TRUE(dup.ok());
-  EXPECT_EQ(dup->value.AsInt(), 42);
-  EXPECT_EQ(ExecutionLog::Of("c.Add"), executions);  // deduped
+    int executions = ExecutionLog::Of("c.Add");
+    Result<ReplyMessage> dup = sim_->RouteCall("alpha", msg);
+    ASSERT_TRUE(dup.ok());
+    EXPECT_EQ(dup->value.AsInt(), 42);
+    EXPECT_EQ(ExecutionLog::Of("c.Add"), executions);  // deduped
+  }
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/cost_model.h"
 #include "wal/log_dump.h"
+#include "wal/log_manager.h"
 #include "wal/log_reader.h"
 #include "wal/log_record.h"
 #include "wal/log_writer.h"
@@ -128,6 +130,30 @@ TEST_F(LogSalvageTest, ZeroLengthFrameAtTheEndIsATornTail) {
   EXPECT_TRUE(reader.tail_torn());
   EXPECT_EQ(reader.torn_offset(), header);
   EXPECT_FALSE(ReadRecordAt(View(), header).ok());
+}
+
+// A gsn-prefixed frame must hold the 8-byte prefix: a shorter payload whose
+// length and CRC check out is still Corruption to the point read and a torn
+// tail to the reader.
+TEST_F(LogSalvageTest, PrefixedFrameShorterThanTheGsnIsCorruption) {
+  LogWriter writer(kLog, &storage_, &disk_, &clock_);
+  uint64_t lsn = writer.AppendPayload({1, 2, 3, 4});
+  writer.Force();
+  CostModel costs;
+  LogManager log(kLog, &storage_, &disk_, &clock_, &costs,
+                 /*shard_count=*/2);
+
+  LogView view = log.ShardStableView(0);
+  ASSERT_TRUE(view.gsn_prefixed());
+  Result<LogRecord> rec = ReadRecordAt(view, lsn);
+  ASSERT_TRUE(rec.status().IsCorruption());
+  EXPECT_EQ(rec.status().message(), "sharded frame too short for gsn prefix");
+
+  LogReader reader(view, view.base);
+  reader.EnableSalvage();
+  EXPECT_FALSE(reader.Next().has_value());
+  EXPECT_TRUE(reader.tail_torn());
+  EXPECT_EQ(reader.torn_offset(), lsn);
 }
 
 TEST_F(LogSalvageTest, CleanLogHasNoSalvageArtifacts) {

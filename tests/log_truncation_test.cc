@@ -6,6 +6,8 @@
 
 #include <map>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "bookstore/setup.h"
 #include "common/strings.h"
@@ -201,17 +203,12 @@ TEST_F(LogTruncationTest, ForceMarksTrimWithTheHead) {
       }
     };
     auto dump = [&](bool untrimmed) {
-      if (shards == 1) {
-        return DumpLog(log.StableView(),
-                       untrimmed ? forced[0] : log.force_marks());
-      }
-      std::vector<ShardDumpInput> inputs;
+      std::string out;
       for (uint32_t s = 0; s < shards; ++s) {
-        inputs.push_back(ShardDumpInput{
-            s, log.shard_log_name(s), log.ShardStableView(s),
-            untrimmed ? &forced[s] : &log.shard_force_marks(s)});
+        out += DumpLog(log.ShardStableView(s),
+                       untrimmed ? forced[s] : log.shard_force_marks(s));
       }
-      return DumpShardedLogs(inputs);
+      return out;
     };
 
     uint64_t reclaimed = 0;
@@ -258,6 +255,72 @@ TEST_F(LogTruncationTest, ForceMarksTrimWithTheHead) {
     // The head moved, so the writer really dropped marks.
     EXPECT_LT(log.force_marks().size(), forced[0].size())
         << shards << " shard(s)";
+  }
+}
+
+// The whole-log dump: a single log is one plain listing — no gsn column, no
+// shard headers, no merge view — and a sharded one lists each shard, then
+// merges every record exactly once in ascending gsn order.
+TEST_F(LogTruncationTest, DumpListsEachShardThenMergesByGsn) {
+  for (uint32_t shards : {1u, 2u}) {
+    RuntimeOptions opts;
+    opts.wal_shards = shards;
+    SetUpSim(opts);
+    ASSERT_TRUE(BuildWorkload(6).ok());
+    ExternalClient client(sim_.get(), "alpha");
+    auto other = client.CreateComponent(*proc_, "Counter", "d",
+                                        ComponentKind::kPersistent, {});
+    ASSERT_TRUE(other.ok());
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(client.Call(*other, "Add", MakeArgs(1)).ok());
+    }
+    LogManager& log = proc_->log();
+    log.Force();
+    std::string dump = DumpLog(log);
+
+    uint64_t records = 0;
+    std::vector<uint64_t> per_shard(shards, 0);
+    OrderedLogCursor cursor(log, log.head_order());
+    while (std::optional<OrderedRecord> rec = cursor.Next()) {
+      ++records;
+      ++per_shard[rec->shard];
+    }
+
+    if (shards == 1) {
+      EXPECT_EQ(dump, DumpLog(log.StableView(), log.force_marks()));
+      EXPECT_EQ(dump.find("gsn"), std::string::npos) << dump;
+      EXPECT_EQ(dump.find("---"), std::string::npos) << dump;
+      continue;
+    }
+    for (uint32_t s = 0; s < shards; ++s) {
+      // Every shard holds records, so the merge really interleaves.
+      ASSERT_GT(per_shard[s], 0u) << "shard " << s;
+      std::string header = StrCat("--- shard ", s, ": ",
+                                  log.shard_log_name(s), " ---\n");
+      size_t at = dump.find(header);
+      ASSERT_NE(at, std::string::npos) << dump;
+      EXPECT_NE(dump.find(DumpLog(log.ShardStableView(s),
+                                  log.shard_force_marks(s)),
+                          at + header.size()),
+                std::string::npos)
+          << dump;
+    }
+    const std::string kMerge = "--- merge view (by gsn) ---\n";
+    size_t merge = dump.find(kMerge);
+    ASSERT_NE(merge, std::string::npos) << dump;
+    std::vector<uint64_t> gsns;
+    size_t line = merge + kMerge.size();
+    while (line < dump.size()) {
+      size_t end = dump.find('\n', line);
+      std::string text = dump.substr(line, end - line);
+      ASSERT_EQ(text.rfind("  gsn ", 0), 0u) << text;
+      gsns.push_back(std::stoull(text.substr(6)));
+      line = end + 1;
+    }
+    EXPECT_EQ(gsns.size(), records);
+    for (size_t i = 1; i < gsns.size(); ++i) {
+      EXPECT_LT(gsns[i - 1], gsns[i]) << "line " << i;
+    }
   }
 }
 

@@ -123,7 +123,6 @@ TEST_F(WalShardTest, CrashDropsExactlyEachShardsUnforcedTail) {
     EXPECT_EQ(manager_.shard_stable_end(s), stable_before[s]) << "shard " << s;
     LogReader reader(manager_.ShardStableView(s),
                      manager_.shard_head_base(s));
-    reader.EnableGsnPrefix();
     while (auto parsed = reader.Next()) {
       EXPECT_EQ(std::get<IncomingCallRecord>(parsed->record).method, "forced");
     }
@@ -207,6 +206,101 @@ TEST(OrderedLogCursorTest, OneShardIsAPlainLogReaderFromTheCut) {
   EXPECT_EQ(cursor.records_read(), 7u);  // the bytes below the cut: unread
 }
 
+// One shard image of a sharded log, on its own: the cursor reads it by
+// its gsn-prefixed format, so a gsn cut yields exactly that shard's records
+// at or above the cut, with composite LSNs and order == gsn.
+TEST(OrderedLogCursorTest, OneShardOfAShardedLogFromAGsnCut) {
+  for (uint32_t shards : {2u, 4u}) {
+    StableStorage storage;
+    DiskModel disk(DiskParams{}, 1);
+    SimClock clock;
+    CostModel costs;
+    LogManager log("m/p1.log", &storage, &disk, &clock, &costs, shards,
+                   /*shard_seed=*/42);
+    for (int i = 0; i < 24; ++i) {
+      log.Append(LogRecord(Incoming(static_cast<uint64_t>(i % 5 + 1),
+                                    "m" + std::to_string(i))));
+    }
+    log.Force();
+    std::vector<OrderedRecord> all;
+    OrderedLogCursor whole(log, log.head_order());
+    while (std::optional<OrderedRecord> rec = whole.Next()) {
+      all.push_back(std::move(*rec));
+    }
+    ASSERT_EQ(all.size(), 24u);
+    uint64_t cut = all[9].order;
+
+    for (uint32_t k = 0; k < shards; ++k) {
+      SCOPED_TRACE(::testing::Message() << shards << " shards, shard " << k);
+      std::vector<const OrderedRecord*> expected;
+      for (const OrderedRecord& rec : all) {
+        if (rec.shard == k && rec.order >= cut) expected.push_back(&rec);
+      }
+      ASSERT_FALSE(expected.empty());
+      OrderedLogCursor cursor({log.ShardStableView(k)}, cut);
+      size_t yielded = 0;
+      while (std::optional<OrderedRecord> rec = cursor.Next()) {
+        ASSERT_LT(yielded, expected.size());
+        const OrderedRecord& want = *expected[yielded++];
+        EXPECT_EQ(rec->lsn, want.lsn);
+        EXPECT_EQ(ShardOfLsn(rec->lsn), k);
+        EXPECT_EQ(rec->shard, k);
+        EXPECT_EQ(rec->order, want.order);
+        EXPECT_EQ(Encoded(rec->record), Encoded(want.record));
+      }
+      EXPECT_EQ(yielded, expected.size());
+      EXPECT_TRUE(cursor.damage().empty());
+    }
+  }
+}
+
+// The point read honours the image's format: on a shard of a sharded log it
+// strips the gsn prefix and reports the gsn as the order; on a single log
+// the order is the LSN.
+TEST(OrderedLogCursorTest, PointReadOnAPrefixedImageReturnsTheGsn) {
+  StableStorage storage;
+  DiskModel disk(DiskParams{}, 1);
+  SimClock clock;
+  CostModel costs;
+  LogManager sharded("m/p1.log", &storage, &disk, &clock, &costs,
+                     /*shard_count=*/2, /*shard_seed=*/42);
+  LogManager single("m/p2.log", &storage, &disk, &clock, &costs);
+  std::vector<uint64_t> lsns;
+  for (int i = 0; i < 6; ++i) {
+    LogRecord rec(Incoming(static_cast<uint64_t>(i + 1),
+                           "m" + std::to_string(i)));
+    lsns.push_back(sharded.Append(rec));
+    single.Append(rec);
+  }
+  sharded.Force();
+  single.Force();
+
+  uint64_t gsn = 0;
+  for (int i = 0; i < 6; ++i) {
+    uint64_t lsn = lsns[i];
+    LogView view = sharded.ShardStableView(ShardOfLsn(lsn));
+    EXPECT_TRUE(view.gsn_prefixed());
+    uint64_t order = 0;
+    Result<LogRecord> rec = ReadRecordAt(view, LocalOfLsn(lsn), &order);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    EXPECT_EQ(std::get<IncomingCallRecord>(*rec).method,
+              "m" + std::to_string(i));
+    EXPECT_GT(order, gsn);  // appended in this order, so gsns ascend
+    gsn = order;
+    EXPECT_EQ(*sharded.OrderOfRecordAt(lsn), order);
+  }
+
+  LogView plain = single.StableView();
+  EXPECT_FALSE(plain.gsn_prefixed());
+  LogReader reader(plain, 0);
+  while (std::optional<ParsedRecord> parsed = reader.Next()) {
+    uint64_t order = 0;
+    ASSERT_TRUE(ReadRecordAt(plain, parsed->lsn, &order).ok());
+    EXPECT_EQ(order, parsed->lsn);
+    EXPECT_EQ(parsed->order, parsed->lsn);
+  }
+}
+
 TEST_F(WalShardTest, TornTailOnOneShardLeavesOthersUntouched) {
   AppendAcrossShards(16, "x");
   manager_.Force();
@@ -234,7 +328,6 @@ TEST_F(WalShardTest, TornTailOnOneShardLeavesOthersUntouched) {
   for (uint32_t s = 0; s < manager_.shard_count(); ++s) {
     LogReader probe(manager_.ShardStableView(s), manager_.shard_head_base(s));
     probe.EnableSalvage();
-    probe.EnableGsnPrefix();
     int full_count = 0;
     while (probe.Next()) ++full_count;
     EXPECT_EQ(per_shard[s], full_count) << "shard " << s;

@@ -294,7 +294,6 @@ int Run(const Options& opts) {
 
   if (opts.dump_log) {
     LogAnnotations annotations;
-    const bool sharded = proc.log().sharded();
     if (opts.plan) {
       // Build the same plan the parallel replayer would build for a crash
       // right now, and pin its chain/edge view to the records that open
@@ -329,26 +328,13 @@ int Run(const Options& opts) {
           plan.critical_path_ms, plan.total_replay_ms,
           fallback_note.c_str());
     }
-    if (sharded) {
-      std::vector<ShardDumpInput> shards;
-      for (uint32_t s = 0; s < proc.log().shard_count(); ++s) {
-        ShardDumpInput input;
-        input.shard = s;
-        input.log_name = proc.log().shard_log_name(s);
-        input.view = LogView{&proc.log().ShardStableLog(s),
-                             proc.log().shard_head_base(s)};
-        input.marks = &proc.log().shard_force_marks(s);
-        shards.push_back(input);
-      }
-      std::printf("\nsharded recovery log of %s (%u shard(s)):\n%s",
-                  proc.log_name().c_str(), proc.log().shard_count(),
-                  phoenix::DumpShardedLogs(shards, annotations).c_str());
+    if (proc.log().sharded()) {
+      std::printf("\nsharded recovery log of %s (%u shard(s)):\n",
+                  proc.log_name().c_str(), proc.log().shard_count());
     } else {
-      std::printf("\nrecovery log of %s:\n%s", proc.log_name().c_str(),
-                  phoenix::DumpLog(proc.log().StableView(),
-                                   proc.log().force_marks(), annotations)
-                      .c_str());
+      std::printf("\nrecovery log of %s:\n", proc.log_name().c_str());
     }
+    std::printf("%s", phoenix::DumpLog(proc.log(), annotations).c_str());
   }
   if (opts.dump_tables) DumpTables(proc);
 
