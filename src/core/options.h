@@ -45,9 +45,13 @@ struct RuntimeOptions {
   // reply.
   bool multi_call_optimization = false;
 
-  // Save a context state record every N completed incoming calls per
-  // context (0 = never). §5.4 concludes ~400+ is the break-even for the
-  // micro-benchmark.
+  // Save a context state record at least every N completed logged calls
+  // per context (0 = never). N is an upper bound: a context also saves
+  // once replaying its calls since its recovery origin would cost more
+  // than restoring a state record, priced by the CostModel's
+  // recovery_replay_call_ms and recovery_restore_state_ms (§5.4's
+  // break-even, ~460 calls). That debt survives restarts; N counts calls
+  // in the current incarnation only.
   uint32_t save_context_state_every = 0;
 
   // Take a process checkpoint every N incoming calls process-wide (0 =

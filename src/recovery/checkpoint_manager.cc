@@ -96,8 +96,16 @@ void CheckpointManager::OnIncomingCallFinished(Context& ctx) {
   }
 
   if (opts.save_context_state_every > 0) {
+    // The cadence caps the calls between saves; a context saves sooner once
+    // replaying its calls since its origin would cost more than restoring
+    // a state record (§5.4). That debt survives restarts, so a context
+    // crashing more often than its cadence still saves.
+    const CostModel& costs = process_->simulation()->costs();
+    double replay_ms = static_cast<double>(ctx.calls_since_origin()) *
+                       costs.recovery_replay_call_ms;
     uint64_t& count = calls_since_save_[ctx.id()];
-    if (++count >= opts.save_context_state_every) {
+    if (++count >= opts.save_context_state_every ||
+        replay_ms > costs.recovery_restore_state_ms) {
       count = 0;
       // A crash injected during the save surfaces through process death,
       // which the caller observes.
@@ -173,7 +181,6 @@ Result<uint64_t> CheckpointManager::TakeProcessCheckpoint() {
 
   uint64_t end_lsn = proc.log().Append(EndCheckpointRecord{begin_lsn});
   pending_begin_lsn_ = begin_lsn;
-  pending_end_lsn_ = end_lsn;
   // The bracket lives on the meta shard (the whole log when unsharded).
   // Its publish gate is that log's *own* durable horizon reaching one past
   // the end record — captured here, right after the append, so it covers

@@ -31,9 +31,13 @@ class CheckpointManager {
   // updates the context table entry. Returns the state record's LSN.
   Result<uint64_t> SaveContextState(Context& ctx);
 
-  // Called by the interceptor when `ctx` finishes an incoming call (the
-  // "not active" moment of §4.2); saves state every
-  // options.save_context_state_every calls.
+  // Called by the interceptor when `ctx` finishes a logged incoming call
+  // (the "not active" moment of §4.2). With
+  // options.save_context_state_every > 0 it saves state after that many
+  // calls in this incarnation, or sooner once the context's replay debt
+  // (Context::calls_since_origin) times the CostModel's replay cost per
+  // call exceeds its restore cost. Under async checkpointing it only marks
+  // the context dirty.
   void OnIncomingCallFinished(Context& ctx);
 
   // Takes a process checkpoint: begin record, context table entries,
@@ -107,7 +111,6 @@ class CheckpointManager {
 
   Process* process_;
   uint64_t pending_begin_lsn_ = kInvalidLsn;
-  uint64_t pending_end_lsn_ = kInvalidLsn;
   // Exclusive durable horizon (a local offset on the log that holds the
   // bracket — shard 0 when sharded) that must be reached before the
   // pending end record may publish. Captured right after the end append,

@@ -141,17 +141,29 @@ class Context {
   // --- context table entry state ---
   uint64_t last_outgoing_seq() const { return last_outgoing_seq_; }
   void set_last_outgoing_seq(uint64_t seq) { last_outgoing_seq_ = seq; }
+  // Setting either origin LSN moves the replay origin, which clears the
+  // replay debt (calls_since_origin).
   uint64_t state_record_lsn() const { return state_record_lsn_; }
-  void set_state_record_lsn(uint64_t lsn) { state_record_lsn_ = lsn; }
+  void set_state_record_lsn(uint64_t lsn) {
+    state_record_lsn_ = lsn;
+    calls_since_origin_ = 0;
+  }
   uint64_t creation_lsn() const { return creation_lsn_; }
-  void set_creation_lsn(uint64_t lsn) { creation_lsn_ = lsn; }
+  void set_creation_lsn(uint64_t lsn) {
+    creation_lsn_ = lsn;
+    calls_since_origin_ = 0;
+  }
   // The LSN recovery restarts this context from: newest state record if
   // any, else the creation record.
   uint64_t recovery_lsn() const {
     return state_record_lsn_ != kInvalidLsn ? state_record_lsn_
                                             : creation_lsn_;
   }
-  uint64_t incoming_calls_handled() const { return incoming_calls_handled_; }
+  // Replay debt: logged calls since the recovery origin, counting each
+  // live logged call and each replayed one. After a restart it equals the
+  // calls recovery replayed into this context; the checkpoint manager
+  // saves state once replaying them would cost more than a restore.
+  uint64_t calls_since_origin() const { return calls_since_origin_; }
 
   // Destroys all member component instances (a *context* failure, §4.4 —
   // cheaper than a process crash: the process's tables, log buffer and the
@@ -185,7 +197,7 @@ class Context {
   uint64_t last_outgoing_seq_ = 0;
   uint64_t state_record_lsn_ = kInvalidLsn;
   uint64_t creation_lsn_ = kInvalidLsn;
-  uint64_t incoming_calls_handled_ = 0;
+  uint64_t calls_since_origin_ = 0;
 
   bool busy_ = false;       // single-threaded check (PWD requirement)
   // Whole-HandleIncoming occupancy: which session (if any) is serving this

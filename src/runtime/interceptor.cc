@@ -219,13 +219,13 @@ Result<ReplyMessage> Context::HandleIncoming(const CallMessage& msg) {
     reply.server_type_name = parent()->type_name();
   }
 
-  ++incoming_calls_handled_;
   proc->CountIncomingCall();
-  // Checkpoint cadence counts only logged calls: a read-only interaction
-  // left no record and changed no state, so re-saving after it buys nothing.
-  // Under async checkpointing this only marks the context dirty — the
-  // background session does the capture off this chain.
+  // Checkpoint cadence and replay debt count only logged calls: a read-only
+  // interaction left no record and changed no state, so re-saving after it
+  // buys nothing. Under async checkpointing this only marks the context
+  // dirty — the background session does the capture off this chain.
   if (in_dec.write) {
+    ++calls_since_origin_;
     proc->checkpoints().OnIncomingCallFinished(*this);
   }
 
@@ -583,7 +583,7 @@ Result<ReplyMessage> Context::ReplayIncoming(const CallMessage& msg,
     entry.context_id = id_;
     proc->last_calls().Update(msg.call_id.caller, entry);
   }
-  ++incoming_calls_handled_;
+  ++calls_since_origin_;
   return reply;
 }
 

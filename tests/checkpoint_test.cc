@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "recovery/checkpoint_manager.h"
 #include "recovery/recovery_service.h"
 #include "tests/test_components.h"
@@ -23,6 +27,36 @@ class CheckpointTest : public ::testing::Test {
     alpha_ = &sim_->AddMachine("alpha");
     server_ = &alpha_->CreateProcess();
     ExecutionLog::Reset();
+  }
+
+  // Runs `cycles` crash cycles of `calls` Adds each on one persistent
+  // Counter: every cycle ends with a kill and a restart. Returns the state
+  // saves summed over the incarnations (each restart builds a new checkpoint
+  // manager). After each restart, checks that the context's replay debt is
+  // the number of calls recovery replayed and stays under `debt_cap`.
+  uint64_t RunCrashCycles(int cycles, int calls, uint64_t debt_cap) {
+    ExternalClient client(sim_.get(), "alpha");
+    auto uri = client.CreateComponent(*server_, "Counter", "c",
+                                      ComponentKind::kPersistent, {});
+    EXPECT_TRUE(uri.ok());
+    uint64_t saves = 0;
+    for (int cycle = 0; cycle < cycles; ++cycle) {
+      for (int i = 0; i < calls; ++i) {
+        EXPECT_TRUE(client.Call(*uri, "Add", MakeArgs(1)).ok());
+      }
+      saves += server_->checkpoints().state_saves();
+      int executions = ExecutionLog::Of("c.Add");
+      server_->Kill();
+      EXPECT_TRUE(alpha_->recovery_service().EnsureProcessAlive(1).ok());
+      uint64_t replayed =
+          static_cast<uint64_t>(ExecutionLog::Of("c.Add") - executions);
+      uint64_t debt =
+          server_->FindContextOfComponent("c")->calls_since_origin();
+      EXPECT_EQ(debt, replayed) << "cycle " << cycle;
+      EXPECT_LE(debt, debt_cap) << "cycle " << cycle;
+    }
+    EXPECT_EQ(client.Call(*uri, "Get", {})->AsInt(), cycles * calls);
+    return saves;
   }
 
   std::unique_ptr<Simulation> sim_;
@@ -212,6 +246,93 @@ TEST_F(CheckpointTest, SubordinateStateRidesInContextRecord) {
   EXPECT_EQ(client.Call(*parent, "GetSub", {})->AsInt(), 9);
   // Only the post-state call replayed.
   EXPECT_EQ(ExecutionLog::Of("p_sub.Add"), executions + 1);
+}
+
+// §5.4's break-even with the default CostModel: 462 calls of replay cost
+// more than one 60 ms state restore.
+constexpr uint64_t kBreakEvenCalls = 462;
+
+TEST_F(CheckpointTest, ReplayDebtSavesAContextUnderItsCadence) {
+  // 40 calls per crash cycle never reach a cadence of 64 in one
+  // incarnation; the replay debt carries across restarts and forces a
+  // save past the break-even instead of growing for the whole run.
+  RuntimeOptions opts;
+  opts.save_context_state_every = 64;
+  SetUpSim(opts);
+  uint64_t saves = RunCrashCycles(20, 40, kBreakEvenCalls + 40);
+  EXPECT_GE(saves, 1u);
+}
+
+TEST_F(CheckpointTest, CadenceMetEveryCycleSavesAtTheCadence) {
+  // 30 calls per cycle against a cadence of 16: one cadence save per
+  // incarnation, and the debt never nears the break-even.
+  RuntimeOptions opts;
+  opts.save_context_state_every = 16;
+  SetUpSim(opts);
+  EXPECT_EQ(RunCrashCycles(10, 30, 30), 10u);
+}
+
+TEST_F(CheckpointTest, NoCadenceNoDebtSaves) {
+  // Saves that are off stay off: the debt grows past the break-even with
+  // no save at all.
+  SetUpSim();
+  EXPECT_EQ(RunCrashCycles(25, 40, 1000), 0u);
+  EXPECT_EQ(server_->FindContextOfComponent("c")->calls_since_origin(),
+            1000u);
+}
+
+TEST_F(CheckpointTest, ReplayDebtEqualsReplayedCallsAndResetsAtNewOrigin) {
+  for (uint32_t sessions : {1u, 4u}) {
+    RuntimeOptions opts;
+    opts.parallel_replay = sessions > 1;
+    opts.parallel_replay_sessions = sessions;
+    SetUpSim(opts);
+    ExternalClient client(sim_.get(), "alpha");
+    std::vector<std::string> names = {"a", "b", "c"};
+    std::vector<std::string> uris;
+    for (const std::string& name : names) {
+      auto uri = client.CreateComponent(*server_, "Counter", name,
+                                        ComponentKind::kPersistent, {});
+      ASSERT_TRUE(uri.ok());
+      uris.push_back(*uri);
+    }
+    // Different call counts per context; "b" saves after its first 5.
+    for (size_t k = 0; k < uris.size(); ++k) {
+      for (size_t i = 0; i < 5 * (k + 1); ++i) {
+        ASSERT_TRUE(client.Call(uris[k], "Add", MakeArgs(1)).ok());
+      }
+      Context* ctx = server_->FindContextOfComponent(names[k]);
+      EXPECT_EQ(ctx->calls_since_origin(), 5 * (k + 1));
+      if (names[k] == "b") {
+        ASSERT_TRUE(server_->checkpoints().SaveContextState(*ctx).ok());
+        EXPECT_EQ(ctx->calls_since_origin(), 0u);
+        for (int i = 0; i < 3; ++i) {
+          ASSERT_TRUE(client.Call(uris[k], "Add", MakeArgs(1)).ok());
+        }
+      }
+    }
+
+    std::map<std::string, int> executions;
+    for (const std::string& name : names) {
+      executions[name] = ExecutionLog::Of(name + ".Add");
+    }
+    server_->Kill();
+    ASSERT_TRUE(alpha_->recovery_service().EnsureProcessAlive(1).ok());
+    for (const std::string& name : names) {
+      Context* ctx = server_->FindContextOfComponent(name);
+      uint64_t replayed = static_cast<uint64_t>(
+          ExecutionLog::Of(name + ".Add") - executions[name]);
+      EXPECT_EQ(ctx->calls_since_origin(), replayed)
+          << name << " sessions=" << sessions;
+    }
+    EXPECT_EQ(server_->FindContextOfComponent("b")->calls_since_origin(), 3u);
+
+    // A relogged creation record (RelogOrigin's copy) is a new origin too.
+    Context* a = server_->FindContextOfComponent("a");
+    EXPECT_EQ(a->calls_since_origin(), 5u);
+    a->set_creation_lsn(a->creation_lsn());
+    EXPECT_EQ(a->calls_since_origin(), 0u);
+  }
 }
 
 TEST_F(CheckpointTest, CrashDuringCheckpointIsHarmless) {
