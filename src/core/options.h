@@ -61,13 +61,15 @@ struct RuntimeOptions {
 
   // Asynchronous checkpointing: run state-record capture and process
   // checkpoints on a dedicated background session per process instead of
-  // inline on the calling chain. Foreground calls only mark their context
+  // inline on the calling chain. Foreground calls mark their context
   // dirty; every `async_checkpoint_interval` completed incoming calls the
-  // background session sweeps the dirty idle contexts (busy ones are
-  // deferred and re-armed), takes a process checkpoint, forces the bracket
-  // on its own chain, and publishes. §4.3's publish ordering is unchanged —
-  // only *which chain* pays for the disk writes moves. Off by default so
-  // the inline cadence above stays the pinned reference behavior.
+  // background session sweeps the dirty idle contexts (busy ones wait for
+  // the next sweep), takes a process checkpoint, forces the bracket on its
+  // own chain, and publishes. The one foreground capture is the replay-debt
+  // save above, which runs even without a cadence, so a context never idle
+  // at a sweep still saves. §4.3's publish ordering is unchanged — only
+  // *which chain* pays for the disk writes moves. Off by default so the
+  // inline cadence above stays the pinned reference behavior.
   bool async_checkpoint = false;
   uint32_t async_checkpoint_interval = 64;
 

@@ -86,26 +86,31 @@ void CheckpointManager::OnIncomingCallFinished(Context& ctx) {
   const RuntimeOptions& opts = process_->simulation()->options();
   if (!process_->alive() || process_->recovering()) return;
 
+  // §5.4's break-even: replaying the calls since the context's origin would
+  // cost more than restoring a state record. The debt survives restarts.
+  const CostModel& costs = process_->simulation()->costs();
+  bool debt_due = static_cast<double>(ctx.calls_since_origin()) *
+                      costs.recovery_replay_call_ms >
+                  costs.recovery_restore_state_ms;
+
   if (process_->async_checkpoint_active()) {
-    // The background session owns capture: the foreground chain only marks
-    // the context dirty. The sweep re-checks §4.2's "not active" rule
-    // itself (a context serving a call is deferred), so nothing else from
-    // the inline cadence below runs on this chain.
-    ++calls_since_save_[ctx.id()];
+    // The sweep skips a context serving a call, so one never idle at a
+    // sweep saves its debt here, the one capture on this chain: the call
+    // has finished, so the context is not active (§4.2).
+    uint64_t& dirty = calls_since_save_[ctx.id()];
+    if (!debt_due) {
+      ++dirty;
+    } else {
+      dirty = 0;
+      (void)SaveContextState(ctx);  // a crash surfaces via process death
+    }
     return;
   }
 
   if (opts.save_context_state_every > 0) {
-    // The cadence caps the calls between saves; a context saves sooner once
-    // replaying its calls since its origin would cost more than restoring
-    // a state record (§5.4). That debt survives restarts, so a context
-    // crashing more often than its cadence still saves.
-    const CostModel& costs = process_->simulation()->costs();
-    double replay_ms = static_cast<double>(ctx.calls_since_origin()) *
-                       costs.recovery_replay_call_ms;
+    // The cadence caps the calls between saves; the debt rule saves sooner.
     uint64_t& count = calls_since_save_[ctx.id()];
-    if (++count >= opts.save_context_state_every ||
-        replay_ms > costs.recovery_restore_state_ms) {
+    if (++count >= opts.save_context_state_every || debt_due) {
       count = 0;
       // A crash injected during the save surfaces through process death,
       // which the caller observes.
@@ -389,24 +394,12 @@ uint64_t CheckpointManager::GarbageCollect() {
   return reclaimed;
 }
 
-bool CheckpointManager::HasDeferredIdleContext() const {
-  for (uint64_t id : deferred_contexts_) {
-    Context* ctx = process_->FindContext(id);
-    if (ctx == nullptr) continue;  // destroyed since the deferral
-    if (!ctx->busy() && !ctx->serving()) return true;
-  }
-  return false;
-}
-
 bool CheckpointManager::AsyncSweepDue(uint32_t interval) const {
   Process& proc = *process_;
   if (!proc.alive() || proc.recovering()) return false;
   // The process-wide incoming-call counter is monotone across restarts, so
   // a call-count cadence stays deterministic under crashes.
-  if (proc.incoming_calls() >= last_sweep_incoming_calls_ + interval) {
-    return true;
-  }
-  return HasDeferredIdleContext();
+  return proc.incoming_calls() >= last_sweep_incoming_calls_ + interval;
 }
 
 Status CheckpointManager::RunAsyncSweep() {
@@ -428,15 +421,15 @@ Status CheckpointManager::RunAsyncSweep() {
 
   // §4.2's "not active" rule, re-checked here because the capturing chain
   // no longer owns the context: only a context with no call in flight may
-  // be captured. Busy/serving contexts are deferred — AsyncSweepDue re-arms
-  // as soon as one goes idle.
-  std::set<uint64_t> deferred;
+  // be captured. A busy or serving one stays dirty until the next interval
+  // sweep; OnIncomingCallFinished caps its replay debt meanwhile.
   uint64_t saved = 0;
+  uint64_t deferred = 0;
   for (const auto& [context_id, ctx] : proc.contexts()) {
     auto dirty = calls_since_save_.find(context_id);
     if (dirty == calls_since_save_.end() || dirty->second == 0) continue;
     if (ctx->busy() || ctx->serving()) {
-      deferred.insert(context_id);
+      ++deferred;
       ++async_deferrals_;
       sim->metrics()
           .GetCounter("phoenix.checkpoint.async.deferred",
@@ -449,10 +442,8 @@ Status CheckpointManager::RunAsyncSweep() {
     dirty->second = 0;
     ++saved;
   }
-  deferred_contexts_ = std::move(deferred);
   span.AddArg(obs::Arg("contexts_saved", saved));
-  span.AddArg(
-      obs::Arg("contexts_deferred", static_cast<uint64_t>(deferred_contexts_.size())));
+  span.AddArg(obs::Arg("contexts_deferred", deferred));
 
   Result<uint64_t> begin = TakeProcessCheckpoint();
   if (!begin.ok()) return std::move(begin).status();

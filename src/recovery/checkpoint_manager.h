@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "common/result.h"
@@ -36,8 +35,10 @@ class CheckpointManager {
   // options.save_context_state_every > 0 it saves state after that many
   // calls in this incarnation, or sooner once the context's replay debt
   // (Context::calls_since_origin) times the CostModel's replay cost per
-  // call exceeds its restore cost. Under async checkpointing it only marks
-  // the context dirty.
+  // call exceeds its restore cost. Under async checkpointing it marks the
+  // context dirty for the sweep, except that the same break-even rule (with
+  // or without a cadence) saves here: the one foreground capture, which
+  // caps the debt of a context no sweep finds idle.
   void OnIncomingCallFinished(Context& ctx);
 
   // Takes a process checkpoint: begin record, context table entries,
@@ -60,14 +61,13 @@ class CheckpointManager {
   // --- asynchronous checkpointing (RuntimeOptions.async_checkpoint) ---
 
   // True when the background checkpoint session owes this process a sweep:
-  // `interval` incoming calls completed since the last sweep, or a context
-  // deferred by the last sweep (it was serving a call) has gone idle.
-  // Evaluated as a ParkUntil predicate while every chain is quiesced.
+  // `interval` incoming calls completed since the last sweep. Evaluated as
+  // a ParkUntil predicate while every chain is quiesced.
   bool AsyncSweepDue(uint32_t interval) const;
 
-  // One background sweep: saves state for every dirty idle context
-  // (contexts with a live incoming call are deferred and re-armed via
-  // AsyncSweepDue), takes a process checkpoint, forces the bracket on the
+  // One background sweep: saves state for every dirty idle context (one
+  // with a live incoming call is deferred: it stays dirty for the next
+  // interval sweep), takes a process checkpoint, forces the bracket on the
   // calling (background) chain with ForcePoint::kAsyncCheckpoint, and
   // publishes. Returns Crashed when the process dies mid-sweep.
   Status RunAsyncSweep();
@@ -105,10 +105,6 @@ class CheckpointManager {
   // SaveContextState when a copy would not replay to the same context.
   Status RelogOrigin(Context& ctx);
 
-  // A context deferred by the last sweep has since finished its call and
-  // can be captured now.
-  bool HasDeferredIdleContext() const;
-
   Process* process_;
   uint64_t pending_begin_lsn_ = kInvalidLsn;
   // Exclusive durable horizon (a local offset on the log that holds the
@@ -130,8 +126,6 @@ class CheckpointManager {
   // Publish-once latch: begin LSN of the checkpoint already in the
   // well-known file. Repeat MaybePublishCheckpoint calls for it are skips.
   uint64_t published_begin_lsn_ = kInvalidLsn;
-  // Contexts the last async sweep skipped because they were serving a call.
-  std::set<uint64_t> deferred_contexts_;
   uint64_t last_sweep_incoming_calls_ = 0;
   std::map<uint64_t, uint64_t> calls_since_save_;  // context id -> count
   uint64_t calls_since_checkpoint_ = 0;

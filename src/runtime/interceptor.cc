@@ -222,8 +222,9 @@ Result<ReplyMessage> Context::HandleIncoming(const CallMessage& msg) {
   proc->CountIncomingCall();
   // Checkpoint cadence and replay debt count only logged calls: a read-only
   // interaction left no record and changed no state, so re-saving after it
-  // buys nothing. Under async checkpointing this only marks the context
-  // dirty — the background session does the capture off this chain.
+  // buys nothing. Under async checkpointing this marks the context dirty —
+  // the background session does the capture off this chain, unless the
+  // context's replay debt has reached the break-even.
   if (in_dec.write) {
     ++calls_since_origin_;
     proc->checkpoints().OnIncomingCallFinished(*this);

@@ -146,9 +146,10 @@ class Process {
   // True while a dedicated background checkpoint session is sweeping this
   // process (Simulation::RunSessions with RuntimeOptions.async_checkpoint
   // set): the inline capture cadence in OnIncomingCallFinished stands down
-  // and foreground chains only mark contexts dirty. Deliberately *not*
-  // reset by Kill/Start — the background session outlives crashes and
-  // resumes sweeping once recovery brings the process back.
+  // and foreground chains mark contexts dirty, saving only at the
+  // replay-debt break-even. Deliberately *not* reset by Kill/Start — the
+  // background session outlives crashes and resumes sweeping once
+  // recovery brings the process back.
   bool async_checkpoint_active() const { return async_checkpoint_active_; }
   void set_async_checkpoint_active(bool active) {
     async_checkpoint_active_ = active;

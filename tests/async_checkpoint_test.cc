@@ -4,11 +4,15 @@
 // interleavings the async path exposes: crashes inside a background sweep,
 // a crash between the end-record append and the publish, recovery landing
 // on the older published checkpoint, and end-state equivalence with the
-// inline cadence on the same seed.
+// inline cadence on the same seed. They also pin the cadence: sweeps run on
+// their interval only, and the replay-debt break-even saves a context that
+// no sweep finds idle.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -73,15 +77,20 @@ Topology Deploy(Simulation& sim, int sessions) {
   return topo;
 }
 
-// One session per chain, each driving kCallsPerSession Bump(1) calls.
-void RunWorkload(Simulation& sim, const Topology& topo) {
+// One session per chain, each driving `calls` back-to-back Bump(1) calls.
+// `after_call(s)` runs on session s's chain after each reply, while every
+// other chain is quiesced.
+void RunWorkload(Simulation& sim, const Topology& topo,
+                 int calls = kCallsPerSession,
+                 const std::function<void(int)>& after_call = nullptr) {
   std::vector<std::function<void()>> bodies;
-  for (const std::string& chain : topo.chains) {
-    bodies.push_back([&sim, chain] {
+  for (size_t s = 0; s < topo.chains.size(); ++s) {
+    bodies.push_back([&sim, &after_call, chain = topo.chains[s], calls, s] {
       ExternalClient driver(&sim, "client");
-      for (int i = 0; i < kCallsPerSession; ++i) {
+      for (int i = 0; i < calls; ++i) {
         Result<Value> r = driver.Call(chain, "Bump", MakeArgs(1));
         EXPECT_TRUE(r.ok()) << chain << ": " << r.status().ToString();
+        if (after_call) after_call(static_cast<int>(s));
       }
     });
   }
@@ -220,6 +229,84 @@ TEST(AsyncCheckpointTest, AsyncEndStateEqualsInlineOnSameSeed) {
   std::vector<int64_t> inline_cadence = run(false);
   EXPECT_EQ(with_async, inline_cadence);
   for (int64_t v : with_async) EXPECT_EQ(v, kCallsPerSession);
+}
+
+TEST(AsyncCheckpointTest, DeferredContextWaitsForTheNextIntervalSweep) {
+  // Four sessions under group commit: each Counter parks on its reply force
+  // while it serves, so sweeps find serving contexts and defer them. A
+  // deferred context stays dirty for the next interval sweep: going idle
+  // never starts a sweep of its own. The interval is well above the calls
+  // one bracket force spans, so every sweep starts at its crossing.
+  constexpr uint32_t kInterval = 29;
+  Simulation sim(AsyncOptions(kInterval));
+  RegisterTestComponents(sim.factories());
+  Topology topo = Deploy(sim, 4);
+  CheckpointManager& cp = topo.server->checkpoints();
+  uint64_t most_ahead = 0;  // sweeps run past the crossings so far
+  RunWorkload(sim, topo, 120, [&](int) {
+    uint64_t crossings = topo.server->incoming_calls() / kInterval;
+    if (cp.async_sweeps() > crossings) {
+      most_ahead = std::max(most_ahead, cp.async_sweeps() - crossings);
+    }
+  });
+
+  EXPECT_EQ(most_ahead, 0u);
+  EXPECT_GE(cp.async_deferrals(), 1u);
+  EXPECT_EQ(cp.async_sweeps(), topo.server->incoming_calls() / kInterval);
+  for (int s = 0; s < 4; ++s) EXPECT_EQ(CounterValue(sim, topo, s), 120);
+}
+
+TEST(AsyncCheckpointTest, NeverIdleContextSavesAtReplayBreakEven) {
+  // Each Chain serves back-to-back Bumps: its driver issues the next one
+  // without parking, so every sweep on the client process finds it serving.
+  // The replay-debt break-even (CostModel: 60 ms restore / 0.13 ms per
+  // replayed call = 462 calls) still saves it on its own chain.
+  constexpr int kCalls = 600;
+  Simulation sim(AsyncOptions(10));
+  RegisterTestComponents(sim.factories());
+  Topology topo = Deploy(sim, kSessions);
+  std::vector<uint64_t> max_debt(kSessions, 0);
+  std::vector<int> saves(kSessions, 0);
+  RunWorkload(sim, topo, kCalls, [&](int s) {
+    Context* ctx = topo.client->FindContextOfComponent(
+        "chain" + std::to_string(s));
+    ASSERT_NE(ctx, nullptr);
+    uint64_t debt = ctx->calls_since_origin();
+    if (debt < max_debt[s]) ++saves[s];
+    max_debt[s] = std::max(max_debt[s], debt);
+  });
+
+  EXPECT_GE(topo.client->checkpoints().async_deferrals(), 1u);
+  for (int s = 0; s < kSessions; ++s) {
+    EXPECT_GE(saves[s], 1) << "chain " << s;
+    EXPECT_LE(max_debt[s], 463u) << "chain " << s;
+    EXPECT_EQ(CounterValue(sim, topo, s), kCalls) << "counter " << s;
+  }
+}
+
+TEST(AsyncCheckpointTest, InlineCadenceSavesAreUnchanged) {
+  // With async off the debt rule is the inline one: the cadence or the
+  // break-even, whichever comes first. Pinned save counts per process for
+  // 600 Bumps per session: at cadence 500 the break-even fires first (462
+  // calls, once per context); at cadence 64 the cadence does (9 per
+  // context).
+  auto saves = [](uint32_t cadence) {
+    RuntimeOptions opts;
+    opts.group_commit = true;
+    opts.save_context_state_every = cadence;
+    opts.process_checkpoint_every = 64;
+    Simulation sim(opts);
+    RegisterTestComponents(sim.factories());
+    Topology topo = Deploy(sim, kSessions);
+    RunWorkload(sim, topo, 600);
+    for (int s = 0; s < kSessions; ++s) {
+      EXPECT_EQ(CounterValue(sim, topo, s), 600) << "counter " << s;
+    }
+    return std::make_pair(topo.client->checkpoints().state_saves(),
+                          topo.server->checkpoints().state_saves());
+  };
+  EXPECT_EQ(saves(500), std::make_pair(uint64_t{3}, uint64_t{3}));
+  EXPECT_EQ(saves(64), std::make_pair(uint64_t{27}, uint64_t{27}));
 }
 
 TEST(AsyncCheckpointTest, PublishIsIdempotentPerCheckpoint) {
