@@ -3,10 +3,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -16,18 +15,70 @@
 namespace phoenix {
 
 class Process;
+class SimClock;
+
+// The recovery lanes: one SimClock parallel region of K lanes that the
+// redo phase's restores and the replay engine's units share, list-
+// scheduled by one rule (EarliestStartLane: earliest start, ties to the
+// fullest lane). Work is charged to the lane that can start it earliest at
+// or after its ready time, and the region costs the lanes' makespan. With
+// one lane — or when the clock is already inside a parallel region, i.e.
+// this recovery was triggered from another process's replay lane — no
+// region opens, Take and Release do nothing, and every cost lands on the
+// current clock in order: the serial sum. The destructor closes the region
+// on every exit, error returns and crashes included.
+class RecoveryLanes {
+ public:
+  RecoveryLanes(SimClock& clock, uint32_t lanes);
+  ~RecoveryLanes() { Close(); }
+
+  RecoveryLanes(const RecoveryLanes&) = delete;
+  RecoveryLanes& operator=(const RecoveryLanes&) = delete;
+
+  // Charges what runs next to the lane that can start it earliest at or
+  // after `ready_ms` (absolute), which idles until then. Returns the lane;
+  // -1 when no region is open.
+  int Take(double ready_ms);
+  // `lane` (from Take) is busy until now.
+  void Release(int lane);
+  // When work ready at `ready_ms` would start if taken now.
+  double EarliestStartMs(double ready_ms) const;
+  // Selects the lane busy the longest, so clock reads (a phase boundary)
+  // see the region's makespan so far.
+  void ShowLatestLane();
+  // Absolute time the busiest lane frees up; the current time when no
+  // region is open.
+  double BusyUntilMs() const;
+  // Closes the region (if one is open; EndParallel also leaves the lane)
+  // and returns its elapsed time: the lanes' makespan, or the serial sum
+  // without a region.
+  double Close();
+
+  bool open() const { return !lane_avail_.empty(); }
+  uint32_t lanes() const { return lanes_; }
+  double start_ms() const { return start_ms_; }
+
+ private:
+  SimClock& clock_;
+  double start_ms_;
+  uint32_t lanes_ = 1;
+  // Absolute time each lane frees up; empty when no region is open.
+  std::vector<double> lane_avail_;
+};
 
 // Executes the non-final units of a replay plan as overlapping scheduler
 // sessions (runtime/session.h): K replay workers pull ready units off a
 // shared dependency frontier, parking (SessionScheduler::ParkUntil) when
 // every remaining unit is blocked on one still in flight. Elapsed sim time
-// is the *makespan* of the overlapped lanes (SimClock parallel region):
-// each unit is charged to the earliest-available lane, starting when both
-// that lane and the unit's prerequisites are free — classic list
-// scheduling, so recovery cost is bounded by max(critical path, work / K)
-// instead of total log length. Which session thread happens to execute a
-// unit does not enter the timing model; the session interleaving decides
-// only the (dependency-legal) execution order.
+// is list-scheduled on the recovery lanes the redo phase's restores already
+// occupy: each unit is charged to the lane that can start it earliest, once
+// its chain predecessor, its edges and the restores it needs (its context
+// ready time) are done — so replay of a context restored early overlaps the
+// restores still running, and recovery cost is bounded by max(critical
+// path, work / K) instead of total log length. Among ready units the one
+// that can start earliest pops first, ties by replay order. Which session
+// thread happens to execute a unit does not enter the timing model; the
+// session interleaving decides only the (dependency-legal) execution order.
 //
 // Only non-final units run here. They are provably complete — the context's
 // next incoming record is on the stable log, and the log is written in
@@ -41,10 +92,10 @@ class Process;
 // which replays them with the sequential replayer's end-of-log flush loop
 // and demand flusher, preserving the reference semantics exactly.
 //
-// Determinism: one runnable session at a time, ready units popped in
-// replay order, and the scheduler's choice among runnable workers drawn
-// from the simulation-seeded PRNG — a given (seed, log) always produces
-// the same schedule, lane times and metrics.
+// Determinism: one runnable session at a time, pops decided by lane times
+// and replay order, and the scheduler's choice among runnable workers drawn
+// from the simulation-seeded PRNG — a given (seed, log) always produces the
+// same schedule, lane times and metrics.
 class ParallelReplayEngine {
  public:
   // Replays one unit of `context_id` (RecoveryManager::ReplayUnit).
@@ -61,10 +112,13 @@ class ParallelReplayEngine {
   ParallelReplayEngine(const ParallelReplayEngine&) = delete;
   ParallelReplayEngine& operator=(const ParallelReplayEngine&) = delete;
 
-  Status Run(const UnitReplayFn& replay);
+  // Replays every non-final unit on `lanes`, which the caller closes.
+  // `context_ready_ms` holds, per context, the absolute time before which
+  // none of its units may start; a context absent from it is ready at once.
+  Status Run(RecoveryLanes& lanes,
+             const std::map<uint64_t, double>& context_ready_ms,
+             const UnitReplayFn& replay);
 
-  // Makespan of the parallel region (0 when there was nothing to overlap).
-  double makespan_ms() const { return makespan_ms_; }
   uint32_t sessions_used() const { return sessions_used_; }
   uint64_t units_replayed() const { return units_replayed_; }
 
@@ -77,14 +131,17 @@ class ParallelReplayEngine {
     uint64_t order = 0;
     uint32_t chain = 0;
     PendingReplay unit;
-    std::vector<size_t> deps;        // task indices (chain order + edges)
-    std::vector<size_t> dependents;  // reverse
-    size_t unmet = 0;
-    bool done = false;
-    double finish_abs_ms = 0.0;  // absolute lane time at completion
+    // Task indices waiting on this one (chain order + edges).
+    std::vector<size_t> dependents;
+    size_t unmet = 0;  // prerequisites not yet replayed
+    // Absolute time the unit may start: its context's ready time, raised
+    // to each prerequisite's finish.
+    double ready_ms = 0.0;
   };
 
-  void BuildTasks();
+  void BuildTasks(const std::map<uint64_t, double>& context_ready_ms);
+  // Removes and returns the ready task that can start earliest.
+  size_t PopReady();
   void WorkerLoop(const UnitReplayFn& replay);
 
   Process* process_;
@@ -93,11 +150,10 @@ class ParallelReplayEngine {
   obs::SpanLink parent_;
   std::string label_;
 
+  RecoveryLanes* lanes_ = nullptr;
   std::vector<Task> tasks_;
-  // Absolute time each modelled lane frees up (list-scheduling state).
-  std::vector<double> lane_avail_;
-  // Dependency frontier, ordered by replay order for deterministic pops.
-  std::set<std::pair<uint64_t, size_t>> ready_;
+  // Dependency frontier: at most one unit per chain.
+  std::vector<size_t> ready_;
   size_t remaining_ = 0;
   Status status_ = Status::OK();
 
@@ -105,7 +161,6 @@ class ParallelReplayEngine {
   std::vector<size_t> chain_tasks_left_;
   std::vector<std::optional<obs::Tracer::Span>> chain_spans_;
 
-  double makespan_ms_ = 0.0;
   uint32_t sessions_used_ = 0;
   uint64_t units_replayed_ = 0;
 };

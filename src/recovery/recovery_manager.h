@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 
 #include "common/result.h"
 #include "recovery/replay.h"
@@ -15,7 +16,7 @@
 namespace phoenix {
 
 class Process;
-class RestoreLanes;
+class RecoveryLanes;
 
 // Recovers a single failed context (§4.4's "easier" case): the process and
 // its tables survive, only `context_id`'s component instances were lost
@@ -49,17 +50,21 @@ const char* RecoveryModeName(RecoveryMode mode);
 // order; the whole log when none) to the end, collecting every context
 // that existed at the crash with its newest state-record/creation LSN and
 // that record's order, plus the checkpointed global tables. Contexts with
-// state records are then restored field by field.
+// state records are then restored field by field. With parallel replay the
+// same scan also builds the replay plan (ReplayPlanner): it then starts at
+// the lowest origin the published bracket names, and the records below the
+// checkpoint cut feed only the planner.
 //
-// Pass 2 scans from the minimum recovery order, buffering each context's
-// message records per incoming call and replaying a call once the next
-// incoming record arrives; outgoing calls are answered from the buffered
-// replies and suppressed (Figure 5). The final buffered call of each
-// context replays last and may run into live execution when a logged reply
-// is missing — its outgoing calls then really go out, with the same
-// deterministic IDs, and the servers eliminate duplicates. Replies of
-// replayed calls go to the recovery manager, never to clients
-// (condition 5).
+// Pass 2 replays from the minimum recovery order. The sequential replayer
+// scans again, buffering each context's message records per incoming call
+// and replaying a call once the next incoming record arrives; outgoing
+// calls are answered from the buffered replies and suppressed (Figure 5).
+// The parallel one runs pass 1's plan on the lanes the restores ran on
+// (parallel_replay.h). The final buffered call of each context replays
+// last and may run into live execution when a logged reply is missing —
+// its outgoing calls then really go out, with the same deterministic IDs,
+// and the servers eliminate duplicates. Replies of replayed calls go to
+// the recovery manager, never to clients (condition 5).
 class RecoveryManager {
  public:
   explicit RecoveryManager(Process* process,
@@ -69,6 +74,16 @@ class RecoveryManager {
   RecoveryManager& operator=(const RecoveryManager&) = delete;
 
   Status Recover();
+
+  // Damage assessment and pass 1: the recovery map, the rebuilt global
+  // tables and, when pass 1 plans the replay, plan(). Recover() runs it
+  // first; on its own it lets a caller inspect what recovery would do.
+  Status Analyze();
+  // The replay plan pass 1 built; null when it built none, and once pass 2
+  // took it over (or a restore fell back to an older origin).
+  const ReplayPlan* plan() const {
+    return plan_.has_value() ? &*plan_ : nullptr;
+  }
 
   struct Stats {
     uint64_t records_scanned = 0;
@@ -94,6 +109,8 @@ class RecoveryManager {
     uint64_t recovery_order = kInvalidLsn;
     uint64_t checkpoint_last_outgoing_seq = 0;
     bool restored_from_state = false;
+    // Lane time the context's restore finished (0 when none ran).
+    double restored_at_ms = 0.0;
   };
 
   // Damage assessment before the costed passes: validates the well-known
@@ -105,12 +122,21 @@ class RecoveryManager {
   // metric and a tracer instant.
   uint64_t AssessAndSalvageLog();
 
+  // Whether pass 1 plans the replay: parallel replay is on and pass 2 will
+  // run it — it replays (no cold start) and is not nested in a running
+  // session chain, which cannot host a second scheduler.
+  bool PlansReplay() const;
+  // Lowest order among the origins the checkpoint bracket at `cut` names
+  // (its context entries, §4.3's recovery LSNs), or `cut` when that is
+  // lower or no checkpoint is published.
+  uint64_t BracketOriginFloor(uint64_t cut);
   Status PassOne(uint64_t start_order);
   // Points `info` at the origin record at `lsn`, looking up its order.
   void SetOrigin(ContextInfo& info, uint64_t lsn);
   // Restores every context with an origin record in context-id order, each
   // (salvage fallback included) charged to the lane `lanes` picks for it.
-  Status RestoreContextStates(RestoreLanes& lanes);
+  // A fallback to an older origin drops pass 1's plan, which it outdates.
+  Status RestoreContextStates(RecoveryLanes& lanes);
   // Restores one context from `origin`, the read of the record at
   // info.recovery_lsn; kCorruption when it is unreadable or of the wrong
   // type.
@@ -121,19 +147,29 @@ class RecoveryManager {
   // kInvalidLsn when neither is readable.
   uint64_t FindFallbackOrigin(uint64_t context_id, uint64_t bad_lsn);
   void InstallTables();
-  Status PassTwo();
+  // The planner's view of the recovery map.
+  ReplayPlanInputs PlanInputs() const;
+  // Per context, the lane time its replay units may start at: once its own
+  // restore is done; for the activator (replayed Creates look contexts up
+  // by name) once every restore is; and, since a unit may call a local
+  // stateless (functional or read-only) context live, once those are.
+  std::map<uint64_t, double> ContextReadyTimes(double start_ms) const;
+  Status PassTwo(RecoveryLanes& lanes);
   // Pass 2's sequential replay: drains `cursor`, buffering each context's
   // records per incoming call and replaying a unit once the next one
   // arrives, then flushes the end-of-log units oldest first.
   Status ReplayScan(OrderedLogCursor& cursor);
   // Plan-driven parallel pass 2 (recovery/replay_plan.h), attempted when
-  // RuntimeOptions.parallel_replay is on: builds the chain/edge plan from
-  // `scan_start` (an order), replays non-final units as overlapping
-  // sessions, then runs the sequential end-of-log flush over each chain's
-  // final unit. Returns true when it ran to a decision (*result holds the
-  // status); false to fall back to the sequential scan (ambiguous salvaged
-  // log, nested scheduler, or fewer than two chains).
-  bool TryParallelPassTwo(uint64_t scan_start, Status* result);
+  // RuntimeOptions.parallel_replay is on: takes pass 1's chain/edge plan
+  // (or, when a restore outdated it, plans from a fresh scan from
+  // `scan_start`, an order), replays non-final units as overlapping
+  // sessions on `lanes` — or on lanes of its own once those closed — then
+  // runs the sequential end-of-log flush over each chain's final unit.
+  // Returns true when it ran to a decision (*result holds the status);
+  // false, with `lanes` closed, to fall back to the sequential scan
+  // (ambiguous salvaged log, nested scheduler, or fewer than two chains).
+  bool TryParallelPassTwo(uint64_t scan_start, RecoveryLanes& lanes,
+                          Status* result);
   // Cold-start replacement for pass 2 (RecoveryMode::kColdStart): replays
   // only the creation of contexts with no saved state so components
   // initialize; every logged message after the origins is abandoned.
@@ -151,6 +187,7 @@ class RecoveryManager {
   std::map<LastCallTable::Key, LastCallEntry> rebuilt_last_calls_;
   std::map<std::string, RemoteTypeInfo> rebuilt_remote_types_;
   std::map<uint64_t, PendingReplay> pending_;
+  std::optional<ReplayPlan> plan_;
 };
 
 }  // namespace phoenix

@@ -77,6 +77,12 @@ class PlanBuilder {
   PlanBuilder(ReplayPlan& plan, const ReplayPlanInputs& inputs)
       : plan_(plan), inputs_(inputs) {}
 
+  // At most how many units `context_id`'s chain will get, so it is sized
+  // once.
+  void HintUnits(uint64_t context_id, size_t units) {
+    unit_hints_[context_id] = units;
+  }
+
   void Add(const OrderedRecord& rec) {
     ++plan_.records_scanned;
     if (const auto* creation = std::get_if<CreationRecord>(&rec.record)) {
@@ -166,6 +172,9 @@ class PlanBuilder {
                                               plan_.chains.size()));
     if (inserted) {
       plan_.chains.push_back(ReplayChain{context_id, {}});
+      if (auto hint = unit_hints_.find(context_id); hint != unit_hints_.end()) {
+        plan_.chains.back().units.reserve(hint->second);
+      }
     }
     ReplayChain& chain = plan_.chains[it->second];
     uint64_t start_lsn = unit.start_lsn;
@@ -177,6 +186,7 @@ class PlanBuilder {
   ReplayPlan& plan_;
   const ReplayPlanInputs& inputs_;
   std::map<uint64_t, uint32_t> chain_of_;  // context id -> chain index
+  std::map<uint64_t, size_t> unit_hints_;
 };
 
 // Salvage digestion: demote every chain with a gap strictly inside one of
@@ -300,6 +310,50 @@ ReplayPlan BuildReplayPlan(OrderedLogCursor& cursor,
   PlanBuilder builder(plan, inputs);
   while (std::optional<OrderedRecord> rec = cursor.Next()) builder.Add(*rec);
   DigestSalvageAndFinalize(plan, cursor.gaps(), inputs.replay_call_ms);
+  return plan;
+}
+
+void ReplayPlanner::Add(OrderedRecord rec) {
+  uint64_t context_id = 0;
+  if (const auto* creation = std::get_if<CreationRecord>(&rec.record)) {
+    context_id = creation->context_id;
+  } else if (const auto* incoming =
+                 std::get_if<IncomingCallRecord>(&rec.record)) {
+    context_id = incoming->context_id;
+  } else if (const auto* reply =
+                 std::get_if<ReplyReceivedRecord>(&rec.record)) {
+    context_id = reply->context_id;
+  } else {
+    const auto* state = std::get_if<ContextStateRecord>(&rec.record);
+    if (state != nullptr && rec.order >= cut_) kept_.erase(state->context_id);
+    return;
+  }
+  kept_[context_id].push_back(std::move(rec));
+}
+
+ReplayPlan ReplayPlanner::Finish(const std::vector<SkippedRange>& gaps,
+                                 const ReplayPlanInputs& inputs) && {
+  ReplayPlan plan;
+  PlanBuilder builder(plan, inputs);
+  for (const auto& [context_id, records] : kept_) {
+    builder.HintUnits(
+        context_id,
+        std::count_if(records.begin(), records.end(), [](const auto& rec) {
+          return !std::holds_alternative<ReplyReceivedRecord>(rec.record);
+        }));
+  }
+  // Each context's records ascend by order: merge them back into log
+  // order, freeing them as the plan takes them over.
+  while (!kept_.empty()) {
+    auto next = kept_.begin();
+    for (auto it = std::next(kept_.begin()); it != kept_.end(); ++it) {
+      if (it->second.front().order < next->second.front().order) next = it;
+    }
+    builder.Add(next->second.front());
+    next->second.pop_front();
+    if (next->second.empty()) kept_.erase(next);
+  }
+  DigestSalvageAndFinalize(plan, gaps, inputs.replay_call_ms);
   return plan;
 }
 

@@ -2,6 +2,7 @@
 #define PHOENIX_RECOVERY_REPLAY_PLAN_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <tuple>
@@ -156,6 +157,33 @@ struct ReplayPlanInputs {
 // survive).
 ReplayPlan BuildReplayPlan(OrderedLogCursor& cursor,
                            const ReplayPlanInputs& inputs);
+
+// The planner pass 1 of crash recovery feeds (recovery_manager.h): the
+// analysis scan hands it every record it reads, and once the scan has fixed
+// the replay origins, Finish plans the kept records exactly as
+// BuildReplayPlan plans the same range of the log. Origins are not known
+// while the scan runs, so the records a plan is built from (creations,
+// incoming calls, received replies) are kept per context. A state record at
+// or above `cut` is pass 1's newest origin for its context so far — pass 1
+// only ever moves an origin up from there — so every earlier record of
+// that context lies below the final origin and is dropped on the spot,
+// which keeps the records held close to what the plan will hold. (A
+// restore that falls back to an older origin outdates the plan; recovery
+// then plans again from a fresh scan.)
+class ReplayPlanner {
+ public:
+  explicit ReplayPlanner(uint64_t cut) : cut_(cut) {}
+
+  void Add(OrderedRecord rec);
+  // Plans the kept records in log order against pass 1's final origins;
+  // `gaps` are the scan's salvage gaps (OrderedLogCursor::gaps()).
+  ReplayPlan Finish(const std::vector<SkippedRange>& gaps,
+                    const ReplayPlanInputs& inputs) &&;
+
+ private:
+  uint64_t cut_;
+  std::map<uint64_t, std::deque<OrderedRecord>> kept_;  // per context
+};
 
 // The plan a crash recovery of `log`'s stable image would replay right now,
 // for tools and tests that have no RecoveryManager at hand: replay origins

@@ -1,12 +1,18 @@
 // Finer-grained recovery-manager behavior: pass statistics, table
-// restoration, id continuity, and the lost-creation-record path.
+// restoration, id continuity, the lost-creation-record path, and the
+// recovery lanes restores and parallel replay share.
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <vector>
 
 #include "common/strings.h"
 #include "recovery/checkpoint_manager.h"
 #include "recovery/recovery_manager.h"
 #include "recovery/recovery_service.h"
+#include "recovery/replay_plan.h"
 #include "tests/test_components.h"
 
 namespace phoenix {
@@ -251,6 +257,252 @@ TEST(RestoreLanesTest, RecoveryInsideAnotherReplayRunsOnCallersLane) {
   EXPECT_EQ(client.Call(*mid, "Get", {})->AsInt(), 6);
   EXPECT_EQ(client.Call(*solo, "Get", {})->AsInt(), 12);
   EXPECT_EQ(client.Call(*keep, "Get", {})->AsInt(), 4);
+}
+
+// Deploys five contexts for the shared-lane tests, context ids 1-5 in
+// creation order: a Chain `mid` and Counters c0..c2, then either a fourth
+// Counter c3 or, with `squarer`, a functional Squarer that mid forwards its
+// Bumps to. Three rounds of calls give every stateful context non-final
+// replay units.
+struct LaneWorkload {
+  std::string mid;
+  std::vector<std::string> counters;
+};
+
+LaneWorkload DeployLaneWorkload(Simulation& sim, Process& proc,
+                                bool squarer) {
+  ExternalClient client(&sim, proc.machine_name());
+  LaneWorkload w;
+  w.mid = client
+              .CreateComponent(proc, "Chain", "mid",
+                               ComponentKind::kPersistent, {})
+              .value();
+  for (int i = 0; i < (squarer ? 3 : 4); ++i) {
+    w.counters.push_back(client
+                             .CreateComponent(proc, "Counter", StrCat("c", i),
+                                              ComponentKind::kPersistent, {})
+                             .value());
+  }
+  if (squarer) {
+    std::string sq = client
+                         .CreateComponent(proc, "Squarer", "sq",
+                                          ComponentKind::kFunctional, {})
+                         .value();
+    EXPECT_TRUE(
+        client.Call(w.mid, "SetDownstream", MakeArgs(sq, "Square")).ok());
+  }
+  for (int round = 1; round <= 3; ++round) {
+    EXPECT_TRUE(client.Call(w.mid, "Bump", MakeArgs(round)).ok());
+    for (const std::string& counter : w.counters) {
+      EXPECT_TRUE(client.Call(counter, "Add", MakeArgs(round)).ok());
+    }
+  }
+  return w;
+}
+
+// Crashes and recovers the lane workload with parallel replay on `lanes`
+// lanes and tracing on; returns the simulation.
+std::unique_ptr<Simulation> RecoverLaneWorkload(uint32_t lanes, bool squarer,
+                                                LaneWorkload* w) {
+  RuntimeOptions opts;
+  opts.parallel_replay = true;
+  opts.parallel_replay_sessions = lanes;
+  auto sim = std::make_unique<Simulation>(opts);
+  RegisterTestComponents(sim->factories());
+  Machine& alpha = sim->AddMachine("alpha");
+  Process& proc = alpha.CreateProcess();
+  *w = DeployLaneWorkload(*sim, proc, squarer);
+  proc.Kill();
+  sim->tracer().set_enabled(true);
+  EXPECT_TRUE(alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
+  return sim;
+}
+
+// Timestamp of the first `phase` event of the recovery span `name`.
+double RecoverySpanTs(Simulation& sim, const std::string& name,
+                      obs::TracePhase phase) {
+  for (const obs::TraceEvent& e : sim.tracer().events()) {
+    if (e.category == "recovery" && e.name == name && e.phase == phase) {
+      return e.ts_ms;
+    }
+  }
+  ADD_FAILURE() << "no recovery/" << name << " event";
+  return 0;
+}
+
+// Lane start of every replayed incoming call, by context: a replay span
+// opens right after its unit's replay cost is charged.
+std::multimap<uint64_t, double> ReplayStarts(Simulation& sim) {
+  std::multimap<uint64_t, double> starts;
+  for (const obs::TraceEvent& e : sim.tracer().events()) {
+    if (e.category != "intercept" || e.phase != obs::TracePhase::kBegin ||
+        e.name.rfind("replay:", 0) != 0) {
+      continue;
+    }
+    for (const obs::TraceArg& arg : e.args) {
+      if (arg.key != "context") continue;
+      starts.emplace(std::stoull(arg.value),
+                     e.ts_ms - sim.costs().recovery_replay_call_ms);
+    }
+  }
+  return starts;
+}
+
+TEST(RestoreLanesTest, ReplayStartsOnceTheRestoresItNeedsAreDone) {
+  LaneWorkload w;
+  std::unique_ptr<Simulation> sim = RecoverLaneWorkload(4, false, &w);
+
+  // Five creation-only restores in context-id order on four lanes, all
+  // ready at the redo start: contexts 1-4 finish one create in, context 5
+  // a create later on the lane that freed first.
+  double redo = RecoverySpanTs(*sim, "redo", obs::TracePhase::kBegin);
+  double create = sim->costs().recovery_create_ms;
+  double last_restore = redo + 2 * create;
+  const double kSlack = 1e-9;
+
+  std::multimap<uint64_t, double> starts = ReplayStarts(*sim);
+  ASSERT_EQ(starts.count(0), 5u);  // the replayed Creates
+  bool overlapped = false;
+  for (const auto& [context, start] : starts) {
+    if (context == 0) {
+      // Replayed Creates look every context up by name.
+      EXPECT_GE(start + kSlack, last_restore) << "activator unit";
+    } else if (context == 5) {
+      EXPECT_GE(start + kSlack, last_restore) << "context 5";
+    } else {
+      EXPECT_GE(start + kSlack, redo + create) << "context " << context;
+      overlapped = overlapped || start < last_restore;
+    }
+  }
+  // Contexts 1-4 replay on the lanes their restores freed while context 5
+  // still restores.
+  EXPECT_TRUE(overlapped);
+
+  ExternalClient client(sim.get(), "alpha");
+  EXPECT_EQ(client.Call(w.mid, "Get", {})->AsInt(), 6);
+  for (const std::string& counter : w.counters) {
+    EXPECT_EQ(client.Call(counter, "Get", {})->AsInt(), 6);
+  }
+}
+
+TEST(RestoreLanesTest, ReplayWaitsForLocalStatelessRestores) {
+  // mid calls the local functional Squarer (context 5, restored last) live
+  // during replay, and no logged record says which units do: every unit
+  // waits for that restore.
+  LaneWorkload w;
+  std::unique_ptr<Simulation> sim = RecoverLaneWorkload(4, true, &w);
+  double last_restore = RecoverySpanTs(*sim, "redo", obs::TracePhase::kBegin) +
+                        2 * sim->costs().recovery_create_ms;
+  std::multimap<uint64_t, double> starts = ReplayStarts(*sim);
+  EXPECT_EQ(starts.size(), 18u);  // 5 Creates, SetDownstream, 3 rounds x 4
+  for (const auto& [context, start] : starts) {
+    EXPECT_GE(start + 1e-9, last_restore) << "context " << context;
+  }
+  ExternalClient client(sim.get(), "alpha");
+  EXPECT_EQ(client.Call(w.mid, "Get", {})->AsInt(), 6);
+}
+
+TEST(RestoreLanesTest, PhaseSpansSumToTheRecoveryDuration) {
+  for (uint32_t lanes : {1u, 4u}) {
+    LaneWorkload w;
+    std::unique_ptr<Simulation> sim = RecoverLaneWorkload(lanes, false, &w);
+    double phases = 0;
+    for (const char* phase : {"analysis", "redo", "replay"}) {
+      phases += RecoverySpanTs(*sim, phase, obs::TracePhase::kEnd) -
+                RecoverySpanTs(*sim, phase, obs::TracePhase::kBegin);
+    }
+    obs::Histogram duration =
+        sim->metrics().MergedHistogram("phoenix.recovery.duration_ms");
+    ASSERT_EQ(duration.count(), 1u);
+    EXPECT_NEAR(phases, duration.sum(), 1e-6) << "lanes=" << lanes;
+    // The restores keep reporting their own makespan.
+    EXPECT_DOUBLE_EQ(RestoreMakespanMs(*sim),
+                     (lanes > 1 ? 2.0 : 5.0) * sim->costs().recovery_create_ms)
+        << "lanes=" << lanes;
+  }
+}
+
+// Structural fingerprint of a plan: chains, units, feeds and edges.
+std::string Describe(const ReplayPlan& plan) {
+  std::string out = StrCat("fallback=", PlanFallbackName(plan.fallback),
+                           " cross_edges=", plan.cross_edges, "\n");
+  for (const ReplayChain& chain : plan.chains) {
+    out += StrCat("ctx ", chain.context_id, ":");
+    for (const PlannedUnit& unit : chain.units) {
+      out += StrCat(" [", unit.replay.order,
+                    unit.replay.is_creation ? " create" : "",
+                    " replies=", unit.replay.feed.replies.size());
+      for (const UnitRef& dep : unit.deps) {
+        out += StrCat(" <-", dep.chain, ".", dep.index);
+      }
+      out += "]";
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(PassOnePlanTest, MatchesPlanLogReplayAcrossACheckpointCut) {
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    RuntimeOptions opts;
+    opts.parallel_replay = true;
+    opts.parallel_replay_sessions = 4;
+    opts.wal_shards = shards;
+    Simulation sim(opts);
+    RegisterTestComponents(sim.factories());
+    Machine& alpha = sim.AddMachine("alpha");
+    Process& proc = alpha.CreateProcess();
+    ExternalClient client(&sim, "alpha");
+    auto leaf = client.CreateComponent(proc, "Counter", "leaf",
+                                       ComponentKind::kPersistent, {});
+    auto mid = client.CreateComponent(proc, "Chain", "mid",
+                                      ComponentKind::kPersistent,
+                                      MakeArgs(*leaf, "Add"));
+    auto solo = client.CreateComponent(proc, "Counter", "solo",
+                                       ComponentKind::kPersistent, {});
+    ASSERT_TRUE(leaf.ok() && mid.ok() && solo.ok());
+    // Every context saves its state and keeps working before the
+    // checkpoint, so its cut lies above every origin and the plan needs
+    // the records below it.
+    for (const char* name : {"leaf", "mid", "solo"}) {
+      ASSERT_TRUE(proc.checkpoints()
+                      .SaveContextState(*proc.FindContextOfComponent(name))
+                      .ok());
+    }
+    for (int i = 1; i <= 3; ++i) {
+      ASSERT_TRUE(client.Call(*mid, "Bump", MakeArgs(i)).ok());
+      ASSERT_TRUE(client.Call(*solo, "Add", MakeArgs(i)).ok());
+    }
+    ASSERT_TRUE(proc.checkpoints().TakeProcessCheckpoint().ok());
+    ASSERT_TRUE(client.Call(*mid, "Bump", MakeArgs(4)).ok());  // publishes
+    ASSERT_TRUE(client.Call(*solo, "Add", MakeArgs(4)).ok());
+    Result<uint64_t> wkf = proc.log().ReadWellKnownLsn();
+    ASSERT_TRUE(wkf.ok());
+    uint64_t cut = proc.log().OrderOfRecordAt(*wkf).value();
+
+    proc.Kill();
+    ReplayPlanInputs inputs;
+    inputs.machine = proc.machine_name();
+    inputs.process_id = proc.pid();
+    std::string expected = Describe(PlanLogReplay(proc.log(), inputs));
+
+    proc.Start();
+    proc.set_recovering(true);
+    RecoveryManager recovery(&proc);
+    ASSERT_TRUE(recovery.Analyze().ok());
+    proc.set_recovering(false);
+    ASSERT_NE(recovery.plan(), nullptr);
+    const ReplayPlan& plan = *recovery.plan();
+    EXPECT_EQ(Describe(plan), expected) << shards << " shard(s)";
+    EXPECT_GT(plan.cross_edges, 0u);
+    bool below_cut = false;
+    for (const ReplayChain& chain : plan.chains) {
+      for (const PlannedUnit& unit : chain.units) {
+        below_cut = below_cut || unit.replay.order < cut;
+      }
+    }
+    EXPECT_TRUE(below_cut) << shards << " shard(s)";
+  }
 }
 
 }  // namespace

@@ -265,6 +265,86 @@ TEST_F(RecoveryRobustnessTest, StateRecordFallbackChargedToItsRestoreLane) {
   EXPECT_EQ(client.Call(*d, "Get", {})->AsInt(), 0);
 }
 
+// Final values of the stale-plan workload after a crash whose recovery
+// finds mid's newest state record rotted: (mid, leaf, solo) and how many
+// restores fell back.
+struct StalePlanOutcome {
+  int64_t mid = 0;
+  int64_t leaf = 0;
+  int64_t solo = 0;
+  uint64_t fallbacks = 0;
+  uint64_t parallel_chains = 0;
+
+  friend bool operator==(const StalePlanOutcome&,
+                         const StalePlanOutcome&) = default;
+};
+
+StalePlanOutcome RecoverWithRottedNewestState(bool parallel) {
+  RuntimeOptions opts;
+  opts.parallel_replay = parallel;
+  opts.parallel_replay_sessions = 4;
+  Simulation sim(opts);
+  RegisterTestComponents(sim.factories());
+  Machine& alpha = sim.AddMachine("alpha");
+  Process& proc = alpha.CreateProcess();
+  ExternalClient client(&sim, "alpha");
+  auto leaf = client.CreateComponent(proc, "Counter", "leaf",
+                                     ComponentKind::kPersistent, {});
+  auto mid = client.CreateComponent(proc, "Chain", "mid",
+                                    ComponentKind::kPersistent,
+                                    MakeArgs(*leaf, "Add"));
+  auto solo = client.CreateComponent(proc, "Counter", "solo",
+                                     ComponentKind::kPersistent, {});
+  EXPECT_TRUE(leaf.ok() && mid.ok() && solo.ok());
+  Context* mid_ctx = proc.FindContextOfComponent("mid");
+  // mid saves twice; the Bumps between the saves are replay input only
+  // once recovery falls back from the newer save to the older one.
+  for (int i = 1; i <= 6; ++i) {
+    EXPECT_TRUE(client.Call(*mid, "Bump", MakeArgs(i)).ok());
+    EXPECT_TRUE(client.Call(*solo, "Add", MakeArgs(i)).ok());
+    if (i == 2 || i == 4) {
+      EXPECT_TRUE(proc.checkpoints().SaveContextState(*mid_ctx).ok());
+    }
+  }
+  EXPECT_TRUE(proc.checkpoints().TakeProcessCheckpoint().ok());
+  EXPECT_TRUE(client.Call(*mid, "Bump", MakeArgs(7)).ok());  // publishes
+
+  uint64_t newest = FindNewestRecord(proc, [](const LogRecord& r) {
+    return std::holds_alternative<ContextStateRecord>(r);
+  });
+  EXPECT_NE(newest, kInvalidLsn);
+  proc.Kill();
+  sim.storage().CorruptLog(proc.log_name(), newest + 8, 2);
+  EXPECT_TRUE(alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
+
+  StalePlanOutcome out;
+  out.mid = client.Call(*mid, "Get", {})->AsInt();
+  out.leaf = client.Call(*leaf, "Get", {})->AsInt();
+  out.solo = client.Call(*solo, "Get", {})->AsInt();
+  out.fallbacks = sim.metrics().CounterTotal(
+      "phoenix.recovery.salvage.state_record_fallback");
+  out.parallel_chains =
+      sim.metrics().CounterTotal("phoenix.recovery.replay.chains");
+  return out;
+}
+
+TEST_F(RecoveryRobustnessTest, StateFallbackRebuildsThePassOnePlan) {
+  // Pass 1 plans mid's replay from its newest state record. That record
+  // rotted, so mid's restore falls back to the older one, and the Bumps
+  // between the two saves must replay too: the plan pass 1 built is stale
+  // and pass 2 plans again. Parallel recovery ends where sequential does.
+  StalePlanOutcome parallel = RecoverWithRottedNewestState(true);
+  StalePlanOutcome sequential = RecoverWithRottedNewestState(false);
+  EXPECT_EQ(parallel.mid, 28);
+  EXPECT_EQ(parallel.leaf, 28);
+  EXPECT_EQ(parallel.solo, 21);
+  EXPECT_EQ(parallel.fallbacks, 1u);
+  EXPECT_GT(parallel.parallel_chains, 0u);
+  EXPECT_EQ(sequential.parallel_chains, 0u);
+  sequential.parallel_chains = parallel.parallel_chains;
+  EXPECT_TRUE(parallel == sequential);
+}
+
 TEST_F(RecoveryRobustnessTest, CorruptionInsideCheckpointBracketFullScan) {
   // Bit rot lands on a checkpoint table record above the published begin
   // LSN: the bracket can no longer be trusted, so recovery must widen to a
