@@ -169,6 +169,9 @@ const MetricMeta* DefaultMetricMeta(const std::string& metric) {
       {"salvage_wkf_fallbacks", {"count", MetricDirection::kInformational}},
       {"interceptor_retries", {"count", MetricDirection::kInformational}},
       {"dedupe_hits", {"count", MetricDirection::kInformational}},
+      // phoenix.intercept.same_log_sends: sends and replies whose force the
+      // shared log made unnecessary — where forces went, not a score.
+      {"same_log_sends", {"count", MetricDirection::kInformational}},
       {"wov_duplicate_executions", {"count", MetricDirection::kInformational}},
   };
   auto it = kTable.find(metric);

@@ -604,8 +604,6 @@ ReplayPlanInputs RecoveryManager::PlanInputs() const {
   ReplayPlanInputs inputs;
   inputs.machine = process_->machine_name();
   inputs.process_id = process_->pid();
-  inputs.replay_call_ms =
-      process_->simulation()->costs().recovery_replay_call_ms;
   for (const auto& [context_id, info] : infos_) {
     inputs.origins[context_id] = info.recovery_lsn;
     inputs.origin_orders[context_id] = info.recovery_order;
@@ -872,15 +870,11 @@ bool RecoveryManager::TryParallelPassTwo(uint64_t scan_start,
   sim->metrics()
       .GetCounter("phoenix.recovery.replay.edges", labels)
       .Increment(plan.cross_edges);
-  sim->metrics()
-      .GetHistogram("phoenix.recovery.replay.critical_path_ms", labels)
-      .Record(plan.critical_path_ms);
 
   obs::Tracer::Span span = sim->tracer().StartSpan(
       "recovery", "parallel_replay", label, RecoveryRoot(sim),
       {obs::Arg("chains", static_cast<uint64_t>(plan.chains.size())),
-       obs::Arg("edges", plan.cross_edges),
-       obs::Arg("critical_path_ms", plan.critical_path_ms)});
+       obs::Arg("edges", plan.cross_edges)});
   TraceFrameScope frame(sim, span);
 
   // Replay shares the restores' lanes while they are open; a plan built
@@ -889,15 +883,32 @@ bool RecoveryManager::TryParallelPassTwo(uint64_t scan_start,
   if (!lanes.open()) own_lanes.emplace(sim->clock(), sessions);
   RecoveryLanes& replay_lanes = own_lanes.has_value() ? *own_lanes : lanes;
   double restores_ms = replay_lanes.BusyUntilMs() - replay_lanes.start_ms();
+  std::map<uint64_t, double> ready_ms =
+      ContextReadyTimes(replay_lanes.start_ms());
+  // The plan's critical path on these lanes, measured like the makespan
+  // below: from the lanes' start with every chain held to its restore, less
+  // the restores. The engine honors the same constraints, so the makespan
+  // never undercuts it.
+  std::map<uint64_t, double> ready_offsets;
+  for (const auto& [context_id, ms] : ready_ms) {
+    ready_offsets[context_id] = ms - replay_lanes.start_ms();
+  }
+  double critical_path_ms = std::max(
+      0.0, CriticalPathMs(plan, sim->costs().recovery_replay_call_ms,
+                          ready_offsets, /*lanes_only=*/true) -
+               restores_ms);
   ParallelReplayEngine engine(&proc, &plan, sessions, span.link(), label);
   Status status = engine.Run(
-      replay_lanes, ContextReadyTimes(replay_lanes.start_ms()),
+      replay_lanes, ready_ms,
       [this](uint64_t context_id, PendingReplay unit) {
         return ReplayUnit(context_id, std::move(unit));
       });
   // The replay phase's share of the lanes: how far it ran past the
   // restores.
   double makespan_ms = replay_lanes.Close() - restores_ms;
+  sim->metrics()
+      .GetHistogram("phoenix.recovery.replay.critical_path_ms", labels)
+      .Record(critical_path_ms);
   sim->metrics()
       .GetGauge("phoenix.recovery.replay.parallelism", labels)
       .Set(engine.sessions_used());
@@ -906,6 +917,7 @@ bool RecoveryManager::TryParallelPassTwo(uint64_t scan_start,
       .Record(makespan_ms);
   span.AddArg(obs::Arg("sessions",
                        static_cast<uint64_t>(engine.sessions_used())));
+  span.AddArg(obs::Arg("critical_path_ms", critical_path_ms));
   span.AddArg(obs::Arg("makespan_ms", makespan_ms));
 
   if (status.ok()) {

@@ -33,20 +33,23 @@ size_t ReplayPlan::eligible_chains() const {
   return n;
 }
 
-namespace {
-
-// Modelled replay cost of the plan: per-unit weight plus the longest
-// dependency-respecting path. Units are processed in replay order (== start
-// LSN on a single log, global sequence number on a sharded one), which is a
-// topological order: chain-internal order and every cross edge point from a
-// smaller order to a larger one. Start LSNs are NOT usable here — composite
-// LSNs of different shards compare by shard id, not by append order.
-void ComputeCosts(ReplayPlan& plan, double unit_ms) {
+double CriticalPathMs(const ReplayPlan& plan, double unit_ms,
+                      const std::map<uint64_t, double>& ready_ms,
+                      bool lanes_only) {
+  // Units are processed in replay order (== start LSN on a single log,
+  // global sequence number on a sharded one), which is a topological order:
+  // chain-internal order and every cross edge point from a smaller order to
+  // a larger one. Start LSNs are NOT usable here — composite LSNs of
+  // different shards compare by shard id, not by append order.
+  auto is_final = [&](UnitRef ref) {
+    return ref.index + 1 == plan.chains[ref.chain].units.size();
+  };
   std::vector<std::pair<uint64_t, UnitRef>> order;
   order.reserve(plan.total_units());
   for (uint32_t c = 0; c < plan.chains.size(); ++c) {
     const ReplayChain& chain = plan.chains[c];
     for (uint32_t u = 0; u < chain.units.size(); ++u) {
+      if (lanes_only && is_final(UnitRef{c, u})) continue;
       order.emplace_back(chain.units[u].replay.order, UnitRef{c, u});
     }
   }
@@ -58,17 +61,26 @@ void ComputeCosts(ReplayPlan& plan, double unit_ms) {
     finish[c].assign(plan.chains[c].units.size(), 0.0);
   }
   double critical = 0.0;
-  for (const auto& [lsn, ref] : order) {
-    double start = ref.index > 0 ? finish[ref.chain][ref.index - 1] : 0.0;
+  for (const auto& [order_key, ref] : order) {
+    double start;
+    if (ref.index > 0) {
+      start = finish[ref.chain][ref.index - 1];
+    } else {
+      auto ready = ready_ms.find(plan.chains[ref.chain].context_id);
+      start = ready != ready_ms.end() ? ready->second : 0.0;
+    }
     for (const UnitRef& dep : plan.unit(ref).deps) {
+      // The lanes drop edges from a final unit: it replays after them all.
+      if (lanes_only && is_final(dep)) continue;
       start = std::max(start, finish[dep.chain][dep.index]);
     }
     finish[ref.chain][ref.index] = start + unit_ms;
     critical = std::max(critical, finish[ref.chain][ref.index]);
   }
-  plan.total_replay_ms = static_cast<double>(plan.total_units()) * unit_ms;
-  plan.critical_path_ms = critical;
+  return critical;
 }
+
+namespace {
 
 // Incremental chain/edge construction, one ordered record at a time.
 // Below-origin filtering compares replay orders (inputs.origin_orders).
@@ -199,8 +211,7 @@ class PlanBuilder {
 // where shard bits make cross-shard intersections provably empty), but the
 // serialization sort keys on the units' replay order.
 void DigestSalvageAndFinalize(ReplayPlan& plan,
-                              const std::vector<SkippedRange>& gaps,
-                              double replay_call_ms) {
+                              const std::vector<SkippedRange>& gaps) {
   plan.salvaged = !gaps.empty();
   plan.skipped_ranges = gaps.size();
   if (plan.salvaged) {
@@ -249,7 +260,6 @@ void DigestSalvageAndFinalize(ReplayPlan& plan,
   if (plan.chains.size() < 2) {
     plan.fallback = PlanFallback::kTooFewChains;
   }
-  ComputeCosts(plan, replay_call_ms);
 }
 
 // Order of the record at an LSN; kInvalidLsn when it is unreadable.
@@ -309,7 +319,7 @@ ReplayPlan BuildReplayPlan(OrderedLogCursor& cursor,
   ReplayPlan plan;
   PlanBuilder builder(plan, inputs);
   while (std::optional<OrderedRecord> rec = cursor.Next()) builder.Add(*rec);
-  DigestSalvageAndFinalize(plan, cursor.gaps(), inputs.replay_call_ms);
+  DigestSalvageAndFinalize(plan, cursor.gaps());
   return plan;
 }
 
@@ -353,7 +363,7 @@ ReplayPlan ReplayPlanner::Finish(const std::vector<SkippedRange>& gaps,
     next->second.pop_front();
     if (next->second.empty()) kept_.erase(next);
   }
-  DigestSalvageAndFinalize(plan, gaps, inputs.replay_call_ms);
+  DigestSalvageAndFinalize(plan, gaps);
   return plan;
 }
 
@@ -388,7 +398,7 @@ ReplayPlan BuildReplayPlanFromRecords(const std::vector<OrderedRecord>& records,
   for (const OrderedRecord& rec : records) {
     if (rec.order >= start_order) builder.Add(rec);
   }
-  DigestSalvageAndFinalize(plan, gaps, inputs.replay_call_ms);
+  DigestSalvageAndFinalize(plan, gaps);
   return plan;
 }
 

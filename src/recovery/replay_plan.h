@@ -113,11 +113,6 @@ struct ReplayPlan {
   uint64_t skipped_ranges = 0;       // gaps the scan salvaged over
   uint32_t demoted_chains = 0;       // chains with parallel_eligible=false
   uint64_t serialization_edges = 0;  // extra log-order edges among demoted
-  // Modelled replay cost: sum over all units, and the longest
-  // dependency-respecting path (chain order + cross edges) — the lower
-  // bound parallel replay is after.
-  double total_replay_ms = 0.0;
-  double critical_path_ms = 0.0;
 
   bool parallel_eligible() const { return fallback == PlanFallback::kNone; }
   size_t total_units() const;
@@ -126,6 +121,17 @@ struct ReplayPlan {
     return chains[ref.chain].units[ref.index];
   }
 };
+
+// Longest dependency-respecting path through `plan` when every unit takes
+// `unit_ms` and no chain starts before its context's entry in `ready_ms`
+// (ms from the start; 0 when absent). With `lanes_only`, each chain's last
+// unit and the edges out of it are left out: recovery replays those in its
+// tail, after the lanes close. Any schedule that honors chain order, the
+// kept edges and the ready times — the recovery lanes' does — runs at
+// least this long.
+double CriticalPathMs(const ReplayPlan& plan, double unit_ms,
+                      const std::map<uint64_t, double>& ready_ms,
+                      bool lanes_only);
 
 // What the planner needs to know about the recovering process.
 struct ReplayPlanInputs {
@@ -143,9 +149,6 @@ struct ReplayPlanInputs {
   // the maps are ignored entirely.
   std::map<uint64_t, uint64_t> origins;
   std::map<uint64_t, uint64_t> origin_orders;
-  // Modelled cost of replaying one unit (CostModel::recovery_replay_call_ms)
-  // for the critical-path estimate.
-  double replay_call_ms = 0.13;
 };
 
 // The planner: drains `cursor` (wal/merged_log_reader.h), planning every

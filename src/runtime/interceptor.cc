@@ -37,6 +37,16 @@ ComponentKind EffectiveClientKind(const CallMessage& msg) {
                          : ComponentKind::kExternal;
 }
 
+// Counts a send whose force the shared log made unnecessary.
+void CountSameLogSend(Process* proc, const std::string& obs_label,
+                      const char* message) {
+  proc->simulation()
+      ->metrics()
+      .GetCounter("phoenix.intercept.same_log_sends",
+                  obs::LabelSet{{"process", obs_label}, {"message", message}})
+      .Increment();
+}
+
 }  // namespace
 
 // --- server side -----------------------------------------------------------
@@ -172,8 +182,17 @@ Result<ReplyMessage> Context::HandleIncoming(const CallMessage& msg) {
     return Status::Crashed("crash before reply send");
   }
 
+  // A call ID's (machine, pid) names the client context's process.
+  bool same_log = msg.has_call_id &&
+                  msg.call_id.caller.machine == proc->machine_name() &&
+                  msg.call_id.caller.process_id == proc->pid() &&
+                  proc->SharesLog();
   LogDecision rep_dec =
-      DecideReplySend(opts, server_kind, client_kind, ro_method);
+      DecideReplySend(opts, server_kind, client_kind, ro_method, same_log);
+  // A deduping reply that Algorithm 2 leaves unforced is a same-log one.
+  if (same_log && rep_dec.dedupe && !rep_dec.force) {
+    CountSameLogSend(proc, obs_label, "reply");
+  }
   if (rep_dec.write) {
     ReplySentRecord rec;
     rec.context_id = id_;
@@ -378,9 +397,16 @@ Result<Value> Context::OutgoingCall(Component* from,
     ro_method = traits != nullptr && traits->read_only;
   }
 
+  bool same_log = target.machine == proc->machine_name() &&
+                  target.process_id == proc->pid() && proc->SharesLog();
   OutgoingDecision dec =
       DecideOutgoing(opts, client_kind, server_known, server_kind, ro_method,
-                     &multi_call_, server_uri);
+                     same_log, &multi_call_, server_uri);
+  // Given `same_log`, a call that carries an ID but no force is exactly
+  // one the shared log exempted.
+  if (same_log && dec.attach_call_id && !dec.force) {
+    CountSameLogSend(proc, obs_label, "call");
+  }
 
   // Condition 2: deterministically derived ID. The sequence number is
   // consumed for every cross-context call so replay stays aligned however

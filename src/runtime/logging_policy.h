@@ -27,13 +27,28 @@ LogDecision DecideIncoming(const RuntimeOptions& opts,
                            ComponentKind server_kind, ComponentKind client_kind,
                            bool method_read_only);
 
-// Message 2 leaving a component of kind `server_kind`.
+// Message 2 leaving a component of kind `server_kind`. `same_log`: the
+// client context lives in this process and the process keeps one unsharded
+// log (Process::SharesLog).
+//
+// Same-log sends are not forced under the optimized discipline. Condition 1
+// forces at a send so that no receiver keeps state whose cause the sender's
+// log lost; a receiver on the same log appends after the sender, and a
+// crash or torn tail only ever loses a suffix of that log (a context
+// failure loses nothing of it), so any surviving record of the receiver
+// comes with every earlier record of the sender. The shards of a sharded
+// log have their own durable horizons, so every send there still forces.
 LogDecision DecideReplySend(const RuntimeOptions& opts,
                             ComponentKind server_kind,
-                            ComponentKind client_kind, bool method_read_only);
+                            ComponentKind client_kind, bool method_read_only,
+                            bool same_log);
 
 // Message 3 leaving a component of kind `client_kind` toward a server whose
 // kind may not be known yet (`server_known` false => most conservative).
+// `same_log` as for DecideReplySend, for the server context. An unforced
+// same-log send is not the §3.5 tracker's forced call, and it clears the
+// tracker's earlier one: the server's reply is not durable either, so the
+// next cross-log call must force it.
 // Note on replay: every cross-context outgoing call consumes one sequence
 // number regardless of these decisions, so call IDs stay deterministic no
 // matter what the client has learned about server kinds. Replay suppresses
@@ -49,7 +64,7 @@ struct OutgoingDecision {
 OutgoingDecision DecideOutgoing(const RuntimeOptions& opts,
                                 ComponentKind client_kind, bool server_known,
                                 ComponentKind server_kind,
-                                bool method_read_only,
+                                bool method_read_only, bool same_log,
                                 MultiCallTracker* tracker,
                                 const std::string& server_uri);
 

@@ -110,6 +110,8 @@ Status Process::WaitDurable(ForcePoint reason) {
   return Status::OK();
 }
 
+bool Process::SharesLog() const { return !log_->sharded(); }
+
 void Process::NoteShardAppend(uint32_t shard) {
   chain_touched_shards_[CurrentChainKey()] |= uint64_t{1} << shard;
 }

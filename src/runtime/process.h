@@ -58,6 +58,11 @@ class Process {
   // inline otherwise. Returns Crashed when the process died before the
   // wait was satisfied.
   Status WaitDurable(ForcePoint reason);
+  // True when a send between two contexts of this process needs no force
+  // (runtime/logging_policy.h): only on an unsharded log. The shards of a
+  // sharded log become durable independently, so a send there still forces.
+  bool SharesLog() const;
+
   LastCallTable& last_calls() { return last_calls_; }
   RemoteTypeTable& remote_types() { return remote_types_; }
   CheckpointManager& checkpoints() { return *checkpoints_; }

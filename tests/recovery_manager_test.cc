@@ -402,6 +402,24 @@ TEST(RestoreLanesTest, ReplayWaitsForLocalStatelessRestores) {
   EXPECT_EQ(client.Call(w.mid, "Get", {})->AsInt(), 6);
 }
 
+TEST(RestoreLanesTest, CriticalPathBoundsTheReplayMakespan) {
+  // Replay shares the lanes with the restores, and both figures count only
+  // what runs past the restores, so the path the lanes had to respect
+  // never exceeds the time they took.
+  for (bool squarer : {false, true}) {
+    LaneWorkload w;
+    std::unique_ptr<Simulation> sim = RecoverLaneWorkload(4, squarer, &w);
+    obs::Histogram critical = sim->metrics().MergedHistogram(
+        "phoenix.recovery.replay.critical_path_ms");
+    obs::Histogram makespan =
+        sim->metrics().MergedHistogram("phoenix.recovery.replay.makespan_ms");
+    ASSERT_EQ(critical.count(), 1u);
+    ASSERT_EQ(makespan.count(), 1u);
+    EXPECT_GT(critical.sum(), 0.0) << "squarer=" << squarer;
+    EXPECT_LE(critical.sum(), makespan.sum() + 1e-9) << "squarer=" << squarer;
+  }
+}
+
 TEST(RestoreLanesTest, PhaseSpansSumToTheRecoveryDuration) {
   for (uint32_t lanes : {1u, 4u}) {
     LaneWorkload w;

@@ -412,6 +412,45 @@ std::vector<int64_t> RunCrashRecover(bool parallel,
   return state;
 }
 
+// Two chains: context 1 with units at orders 1, 3, 5 and context 2 with
+// units at 2, 4, where 2's second unit waits for 1's second and 1's last
+// unit waits for 2's last.
+ReplayPlan TwoChainPlan() {
+  ReplayPlan plan;
+  auto chain = [](uint64_t context_id, std::vector<uint64_t> orders) {
+    ReplayChain c;
+    c.context_id = context_id;
+    for (uint64_t order : orders) {
+      PlannedUnit unit;
+      unit.replay.order = order;
+      c.units.push_back(std::move(unit));
+    }
+    return c;
+  };
+  plan.chains.push_back(chain(1, {1, 3, 5}));
+  plan.chains.push_back(chain(2, {2, 4}));
+  plan.chains[1].units[1].deps.push_back(UnitRef{0, 1});
+  plan.chains[0].units[2].deps.push_back(UnitRef{1, 1});
+  return plan;
+}
+
+TEST(CriticalPathTest, FromTimeZeroCoversEveryUnit) {
+  // 1.0 -> 1.1 -> 2.1 -> 1.2: four units.
+  EXPECT_DOUBLE_EQ(CriticalPathMs(TwoChainPlan(), 1.0, {}, false), 4.0);
+}
+
+TEST(CriticalPathTest, ReadyTimesHoldChainsBack) {
+  // Context 2 is restored at 10: its chain, and 1's last unit behind it,
+  // start no earlier.
+  std::map<uint64_t, double> ready = {{1, 0.0}, {2, 10.0}};
+  EXPECT_DOUBLE_EQ(CriticalPathMs(TwoChainPlan(), 1.0, ready, false), 13.0);
+  // The lanes leave each chain's last unit to the tail, with the edges out
+  // of it: 2.0 alone from context 2 (ends at 11), 1.0 -> 1.1 from 1.
+  EXPECT_DOUBLE_EQ(CriticalPathMs(TwoChainPlan(), 1.0, ready, true), 11.0);
+  ready[2] = 0.0;
+  EXPECT_DOUBLE_EQ(CriticalPathMs(TwoChainPlan(), 1.0, ready, true), 2.0);
+}
+
 TEST(ParallelReplayTest, EndStateMatchesSequentialReplay) {
   std::vector<int64_t> sequential = RunCrashRecover(/*parallel=*/false);
   std::vector<int64_t> parallel = RunCrashRecover(/*parallel=*/true);

@@ -142,12 +142,40 @@ class ParentWithSub : public Component {
   ComponentRefField sub_;
 };
 
+// Persistent caller with no state of its own: RunBatch(n) calls Add(1) on
+// its server n times from inside one method execution. Ctor args:
+// [server_uri].
+class Batcher : public Component {
+ public:
+  void RegisterMethods(MethodRegistry& methods) override {
+    methods.Register("RunBatch", [this](const ArgList& a) -> Result<Value> {
+      int64_t n = a[0].AsInt();
+      for (int64_t i = 0; i < n; ++i) {
+        PHX_RETURN_IF_ERROR(
+            CallRef(server_, "Add", MakeArgs(int64_t{1})).status());
+      }
+      return Value(n);
+    });
+  }
+  void RegisterFields(FieldRegistry& fields) override {
+    fields.RegisterComponentRef("server", &server_);
+  }
+  Status Initialize(const ArgList& args) override {
+    server_.uri = args[0].AsString();
+    return Status::OK();
+  }
+
+ private:
+  ComponentRefField server_;
+};
+
 inline void RegisterTestComponents(ComponentFactoryRegistry& factories) {
   factories.Register<Counter>("Counter");
   factories.Register<Chain>("Chain");
   factories.Register<Squarer>("Squarer");
   factories.Register<Prober>("Prober");
   factories.Register<ParentWithSub>("ParentWithSub");
+  factories.Register<Batcher>("Batcher");
 }
 
 }  // namespace phoenix::testing

@@ -320,12 +320,14 @@ int Run(const Options& opts) {
               ? std::string()
               : StrCat("  (sequential fallback: ",
                        PlanFallbackName(plan.fallback), ")");
+      double unit_ms = proc.simulation()->costs().recovery_replay_call_ms;
       std::printf(
           "\nreplay plan: %zu chain(s), %llu cross edge(s), "
           "critical path %.2f ms of %.2f ms total%s\n",
           plan.chains.size(),
           static_cast<unsigned long long>(plan.cross_edges),
-          plan.critical_path_ms, plan.total_replay_ms,
+          CriticalPathMs(plan, unit_ms, /*ready_ms=*/{}, /*lanes_only=*/false),
+          static_cast<double>(plan.total_units()) * unit_ms,
           fallback_note.c_str());
     }
     if (proc.log().sharded()) {
