@@ -131,17 +131,12 @@ struct RuntimeOptions {
   // contents, so any seed is safe across restarts.
   uint64_t wal_shard_seed = 0;
 
-  // Parallel replay (pass 2 of recovery): partition the log into
-  // per-context replay chains, then replay them as overlapping scheduler
-  // sessions bounded by the dependency critical path instead of total log
-  // length (recovery/replay_plan.h). Off by default: the sequential
-  // replayer is the reference semantics and keeps every pinned benchmark
-  // byte-identical. Recovery falls back to sequential replay on salvaged
-  // (ambiguous) logs, when recovery is triggered from inside a running
-  // session chain, or when the log holds fewer than two chains.
+  // How many recovery lanes the restores and pass 2's replay engine share
+  // (recovery/parallel_replay.h): parallel_replay_sessions when on, one
+  // when off.
   bool parallel_replay = false;
 
-  // How many overlapping replay sessions the parallel replayer uses.
+  // The recovery lanes when parallel_replay is on.
   uint32_t parallel_replay_sessions = 8;
 
   // Allow failure-injection hooks to fire while a process is recovering.

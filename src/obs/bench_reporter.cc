@@ -113,7 +113,9 @@ const MetricMeta* DefaultMetricMeta(const std::string& metric) {
       // Correctness contracts: 1 means the invariant held.
       {"state_matches_sequential", {"bool", MetricDirection::kHigherIsBetter}},
       {"state_matches_single_log", {"bool", MetricDirection::kHigherIsBetter}},
+      {"state_matches_oracle", {"bool", MetricDirection::kHigherIsBetter}},
       {"divergences", {"count", MetricDirection::kLowerIsBetter}},
+      {"oracle_mismatches", {"count", MetricDirection::kLowerIsBetter}},
       {"pinned_divergences", {"count", MetricDirection::kLowerIsBetter}},
       {"state_hash_divergences", {"count", MetricDirection::kLowerIsBetter}},
       {"violations", {"count", MetricDirection::kLowerIsBetter}},

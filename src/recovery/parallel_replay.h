@@ -66,19 +66,25 @@ class RecoveryLanes {
   std::vector<double> lane_avail_;
 };
 
-// Executes the non-final units of a replay plan as overlapping scheduler
-// sessions (runtime/session.h): K replay workers pull ready units off a
-// shared dependency frontier, parking (SessionScheduler::ParkUntil) when
-// every remaining unit is blocked on one still in flight. Elapsed sim time
-// is list-scheduled on the recovery lanes the redo phase's restores already
-// occupy: each unit is charged to the lane that can start it earliest, once
-// its chain predecessor, its edges and the restores it needs (its context
-// ready time) are done — so replay of a context restored early overlaps the
-// restores still running, and recovery cost is bounded by max(critical
-// path, work / K) instead of total log length. Among ready units the one
-// that can start earliest pops first, ties by replay order. Which session
-// thread happens to execute a unit does not enter the timing model; the
-// session interleaving decides only the (dependency-legal) execution order.
+// Recovery's one pass-2 executor: it runs the non-final units of a replay
+// plan on K lanes. K replay workers pull ready units off a shared
+// dependency frontier as overlapping scheduler sessions (runtime/
+// session.h), parking (SessionScheduler::ParkUntil) when every remaining
+// unit is blocked on one still in flight. With one lane the same pop loop
+// runs inline on the calling chain — no sessions, no park — which is also
+// how a recovery nested in a running session chain replays. Elapsed sim
+// time is list-scheduled on the recovery lanes the redo phase's restores
+// already occupy: each unit is charged to the lane that can start it
+// earliest, once its chain predecessor, its edges and the restores it
+// needs (its context ready time) are done — so replay of a context
+// restored early overlaps the restores still running, and recovery cost is
+// bounded by max(critical path, work / K) instead of total log length.
+// Among ready units the one that can start earliest pops first, ties by
+// replay order; on one lane every unit can start at once, so the schedule
+// is ascending replay order, which the plan's edges always respect. Which
+// session thread happens to execute a unit does not enter the timing
+// model; the session interleaving decides only the (dependency-legal)
+// execution order.
 //
 // Only non-final units run here. They are provably complete — the context's
 // next incoming record is on the stable log, and the log is written in
@@ -88,9 +94,16 @@ class RecoveryLanes {
 // nothing escapes the process. Complete units of different chains commute;
 // dependency edges (and the per-chain order) are honored so the schedule
 // and the timing model still follow causality. Each chain's *final* unit —
-// the only one that can run into live execution — is left to the caller,
-// which replays them with the sequential replayer's end-of-log flush loop
-// and demand flusher, preserving the reference semantics exactly.
+// the one that runs into live execution on an intact log — is left to the
+// caller, which replays them oldest first in its end-of-log flush, with the
+// demand flusher installed.
+//
+// A salvage gap can take a logged reply from a complete unit, which then
+// calls out live while the callee's own logged unit for that call still
+// waits behind it in the plan. ReplayThrough, the engine phase's demand
+// flusher, replays the callee's chain through that unit first — its final
+// unit too, if that is the one — so the live call is answered from the
+// last-call table instead of executing twice.
 //
 // Determinism: one runnable session at a time, pops decided by lane times
 // and replay order, and the scheduler's choice among runnable workers drawn
@@ -103,9 +116,10 @@ class ParallelReplayEngine {
       std::function<Status(uint64_t context_id, PendingReplay unit)>;
 
   // `plan` must outlive the engine; Run moves the non-final units' replay
-  // payloads out of it. `parent` is the span the per-chain spans (and all
-  // live work the replay does) nest under; `label` the process label for
-  // spans ("machine/pid").
+  // payloads out of it. `sessions` is K, the lane count; at 1 the pop loop
+  // runs inline. `parent` is the span the per-chain spans (and all live work
+  // the replay does) nest under; `label` the process label for spans
+  // ("machine/pid").
   ParallelReplayEngine(Process* process, ReplayPlan* plan, uint32_t sessions,
                        obs::SpanLink parent, std::string label);
 
@@ -119,6 +133,15 @@ class ParallelReplayEngine {
              const std::map<uint64_t, double>& context_ready_ms,
              const UnitReplayFn& replay);
 
+  // Called while Run is in progress, before a live call with `call_id`
+  // enters `context_id`: replays, in chain order on the calling lane, the
+  // context's units that have not started, through the one whose incoming
+  // record carries `call_id`. Does nothing when the context logged no such
+  // call; stops at a unit still in flight.
+  void ReplayThrough(uint64_t context_id, const CallId& call_id);
+  // Whether ReplayThrough already replayed chain `chain`'s final unit.
+  bool final_replayed(size_t chain) const { return final_replayed_[chain]; }
+
   uint32_t sessions_used() const { return sessions_used_; }
   uint64_t units_replayed() const { return units_replayed_; }
 
@@ -129,11 +152,13 @@ class ParallelReplayEngine {
     // Replay order of the unit (PendingReplay::order): the start LSN on a
     // single log, the global sequence number on a sharded WAL.
     uint64_t order = 0;
-    uint32_t chain = 0;
-    PendingReplay unit;
+    // The unit in the plan, whose payload the replay takes over.
+    UnitRef ref;
     // Task indices waiting on this one (chain order + edges).
     std::vector<size_t> dependents;
     size_t unmet = 0;  // prerequisites not yet replayed
+    bool started = false;  // popped, or replayed on demand
+    bool done = false;
     // Absolute time the unit may start: its context's ready time, raised
     // to each prerequisite's finish.
     double ready_ms = 0.0;
@@ -142,7 +167,15 @@ class ParallelReplayEngine {
   void BuildTasks(const std::map<uint64_t, double>& context_ready_ms);
   // Removes and returns the ready task that can start earliest.
   size_t PopReady();
-  void WorkerLoop(const UnitReplayFn& replay);
+  // Replays `unit`; a failure, or a process that died in it, goes to
+  // status_ and returns false.
+  bool Replay(uint64_t context_id, PendingReplay unit);
+  // Replays task `t` on the current lane.
+  bool ReplayTask(size_t t);
+  // Marks task `t` replayed: releases its dependents, ends its chain's span
+  // after the chain's last task.
+  void Finish(size_t t);
+  void WorkerLoop();
 
   Process* process_;
   ReplayPlan* plan_;
@@ -151,7 +184,13 @@ class ParallelReplayEngine {
   std::string label_;
 
   RecoveryLanes* lanes_ = nullptr;
+  const UnitReplayFn* replay_ = nullptr;
   std::vector<Task> tasks_;
+  // Per chain: the index of its first task (a chain's tasks are adjacent,
+  // in unit order), and whether ReplayThrough replayed its final unit.
+  std::map<uint64_t, uint32_t> chain_of_context_;
+  std::vector<size_t> chain_first_task_;
+  std::vector<bool> final_replayed_;
   // Dependency frontier: at most one unit per chain.
   std::vector<size_t> ready_;
   size_t remaining_ = 0;

@@ -47,6 +47,12 @@ obs::SpanLink RecoveryRoot(Simulation* sim) {
   return parent;
 }
 
+// K, the recovery lanes: the restores and the replay engine share them.
+uint32_t RecoveryLaneCount(const Simulation& sim) {
+  return sim.options().parallel_replay ? sim.options().parallel_replay_sessions
+                                       : 1;
+}
+
 }  // namespace
 
 const char* RecoveryModeName(RecoveryMode mode) {
@@ -94,9 +100,9 @@ Status RecoverContextFailure(Process* process, uint64_t context_id) {
 
   proc.set_recovering(true);
   ctx->ClearMembers();
-  // Crash recovery's restore, then its pass-2 replay over the image from
-  // the origin on. The context is the only one with an origin, so the scan
-  // replays its units alone.
+  // Crash recovery's restore, then its pass-2 executor over a plan of the
+  // image from the origin on. The context is the only one with an origin,
+  // so the plan is its chain alone, and it runs on one lane.
   RecoveryManager manager(process);
   RecoveryManager::ContextInfo& info = manager.infos_[context_id];
   info.recovery_lsn = origin;
@@ -105,7 +111,8 @@ Status RecoverContextFailure(Process* process, uint64_t context_id) {
       ReadRecordAt(image, LocalOfLsn(origin), &info.recovery_order));
   if (status.ok()) {
     OrderedLogCursor cursor({image}, info.recovery_order);
-    status = manager.ReplayScan(cursor);
+    ReplayPlan plan = manager.PlanFromScan(cursor);
+    status = manager.RunPlan(plan, /*lanes=*/nullptr, 1);
   }
   proc.set_recovering(false);
   return status;
@@ -138,14 +145,11 @@ Status RecoveryManager::Recover() {
   PHX_RETURN_IF_ERROR(Analyze());
 
   // Redo phase: reinstall saved context states and the rebuilt tables. The
-  // restores run on the recovery lanes when parallel replay is on; when
-  // pass 1 planned the replay, the lanes stay open for it, so a context's
-  // units start once the restores they need are done rather than after the
-  // last one. The redo span ends at the restores' own makespan.
-  RecoveryLanes lanes(sim->clock(),
-                      sim->options().parallel_replay
-                          ? sim->options().parallel_replay_sessions
-                          : 1);
+  // restores run on the recovery lanes; when pass 2 runs pass 1's plan on
+  // them, the lanes stay open for it, so a context's units start once the
+  // restores they need are done rather than after the last one. The redo
+  // span ends at the restores' own makespan.
+  RecoveryLanes lanes(sim->clock(), RecoveryLaneCount(*sim));
   {
     obs::Tracer::Span span = sim->tracer().StartSpan(
         "recovery", "redo", label, recover_span.link());
@@ -155,7 +159,7 @@ Status RecoveryManager::Recover() {
       lanes.Close();
       return restored;
     }
-    bool shared = plan_.has_value() && plan_->parallel_eligible();
+    bool shared = plan_.has_value() && sim->session_scheduler() == nullptr;
     double restore_ms = shared ? lanes.BusyUntilMs() - lanes.start_ms()
                                : lanes.Close();
     InstallTables();
@@ -343,60 +347,52 @@ uint64_t RecoveryManager::AssessAndSalvageLog() {
   }
 }
 
-bool RecoveryManager::PlansReplay() const {
+Status RecoveryManager::ScanRecord() {
   Simulation* sim = process_->simulation();
-  return sim->options().parallel_replay &&
-         sim->session_scheduler() == nullptr &&
-         mode_ != RecoveryMode::kColdStart;
+  ++stats_.records_scanned;
+  sim->clock().AdvanceMs(sim->costs().recovery_scan_record_ms);
+  if (process_->MaybeCrash(FailurePoint::kDuringRecoveryAnalysis)) {
+    return Status::Crashed("crashed during recovery analysis scan");
+  }
+  return Status::OK();
 }
 
-uint64_t RecoveryManager::BracketOriginFloor(uint64_t cut) {
-  // Un-costed, like the damage probe: pass 1 reads and charges these
-  // records again.
-  LogManager& log = process_->log();
-  uint64_t floor = cut;
-  if (cut <= log.head_order()) return floor;
-  OrderedLogCursor cursor(log, cut);
-  while (std::optional<OrderedRecord> rec = cursor.Next()) {
-    if (std::holds_alternative<EndCheckpointRecord>(rec->record)) break;
-    const auto* e = std::get_if<CheckpointContextEntryRecord>(&rec->record);
-    if (e == nullptr || e->recovery_lsn == kInvalidLsn) continue;
-    Result<uint64_t> order = log.OrderOfRecordAt(e->recovery_lsn);
-    if (order.ok()) floor = std::min(floor, *order);
+ReplayPlan RecoveryManager::PlanFromScan(OrderedLogCursor& cursor) {
+  Simulation* sim = process_->simulation();
+  ReplayPlan plan = BuildReplayPlan(cursor, PlanInputs());
+  stats_.records_scanned += plan.records_scanned;
+  sim->clock().AdvanceMs(static_cast<double>(plan.records_scanned) *
+                         sim->costs().recovery_scan_record_ms);
+  return plan;
+}
+
+uint64_t RecoveryManager::LowestOrigin() const {
+  // Cross-context comparisons run in order space: a context's records and
+  // its origin live on one shard, but the minimum is taken across contexts
+  // on different shards, where composite LSNs do not order by time.
+  uint64_t lowest = kInvalidLsn;
+  for (const auto& [context_id, info] : infos_) {
+    lowest = std::min(lowest, info.recovery_order);
   }
-  return floor;
+  return lowest;
 }
 
 Status RecoveryManager::PassOne(uint64_t start_order) {
   Process& proc = *process_;
-  Simulation* sim = proc.simulation();
 
-  // With parallel replay this scan is also the planner's: it starts low
-  // enough to reach every origin the published bracket names, and records
-  // below the cut feed only the planner.
+  // Every rung but cold start replays, so this read also feeds the
+  // planner.
   std::optional<ReplayPlanner> planner;
-  uint64_t scan_from = start_order;
-  if (PlansReplay()) {
-    planner.emplace(start_order);
-    scan_from = BracketOriginFloor(start_order);
-  }
+  if (mode_ != RecoveryMode::kColdStart) planner.emplace(start_order);
   // All of a context's origin candidates (state records, its creation; for
   // the activator also the checkpoint records, which all live on shard 0)
   // share one shard, so the LSN comparisons between them below are exactly
   // the single-log ones. recovery_order rides alongside for the
-  // cross-context decisions (scan cuts, pass-2 filtering).
-  OrderedLogCursor cursor(proc.log(), scan_from);
+  // cross-context decisions (the back-fill's start, the plan's below-origin
+  // filter).
+  OrderedLogCursor cursor(proc.log(), start_order);
   while (std::optional<OrderedRecord> rec = cursor.Next()) {
-    ++stats_.records_scanned;
-    sim->clock().AdvanceMs(sim->costs().recovery_scan_record_ms);
-    if (proc.MaybeCrash(FailurePoint::kDuringRecoveryAnalysis)) {
-      return Status::Crashed("crashed during recovery analysis scan");
-    }
-    if (rec->order < start_order) {  // only a planning scan starts there
-      planner->Add(std::move(*rec));
-      continue;
-    }
-
+    PHX_RETURN_IF_ERROR(ScanRecord());
     if (const auto* e =
             std::get_if<CheckpointContextEntryRecord>(&rec->record)) {
       ContextInfo& info = infos_[e->context_id];
@@ -455,12 +451,26 @@ Status RecoveryManager::PassOne(uint64_t start_order) {
   if (infos_[0].recovery_order == kInvalidLsn) {
     infos_[0].recovery_order = start_order;
   }
-  // The origins are final: plan the records kept from this scan. Unreadable
-  // regions the cursor reported (mid-log skips; torn tails were amputated
+  if (!planner.has_value()) return Status::OK();
+  // The origins are final. Back-fill: read the records from the lowest
+  // origin up to the cut, for the planner alone, then plan. Unreadable
+  // regions either read reported (mid-log skips; torn tails were amputated
   // before pass 1) demote exactly the chains whose extents they intersect.
-  if (planner.has_value()) {
-    plan_ = std::move(*planner).Finish(cursor.gaps(), PlanInputs());
+  std::vector<SkippedRange> gaps = cursor.gaps();
+  if (uint64_t lowest = LowestOrigin(); lowest < start_order) {
+    OrderedLogCursor backfill(proc.log(), lowest);
+    while (std::optional<OrderedRecord> rec = backfill.Next()) {
+      if (rec->order >= start_order) break;
+      PHX_RETURN_IF_ERROR(ScanRecord());
+      planner->Add(std::move(*rec));
+    }
+    for (const SkippedRange& gap : backfill.gaps()) {
+      if (std::find(gaps.begin(), gaps.end(), gap) == gaps.end()) {
+        gaps.push_back(gap);
+      }
+    }
   }
+  plan_ = std::move(*planner).Finish(gaps, PlanInputs());
   return Status::OK();
 }
 
@@ -636,106 +646,32 @@ std::map<uint64_t, double> RecoveryManager::ContextReadyTimes(
 Status RecoveryManager::PassTwo(RecoveryLanes& lanes) {
   Process& proc = *process_;
   Simulation* sim = proc.simulation();
+  std::string label = ProcLabel(&proc);
 
-  // Cross-context comparisons — the scan cut here, the below-origin filter
-  // in the loop — run in order space: a context's records and its origin
-  // live on one shard, but the *minimum* is taken across contexts on
-  // different shards, where composite LSNs do not order by time.
-  uint64_t scan_start = kInvalidLsn;
-  for (const auto& [context_id, info] : infos_) {
-    if (info.recovery_order != kInvalidLsn) {
-      scan_start = std::min(scan_start, info.recovery_order);
-    }
-  }
-  if (scan_start == kInvalidLsn) return Status::OK();  // nothing to recover
-
-  if (sim->options().parallel_replay) {
-    Status parallel_result = Status::OK();
-    if (TryParallelPassTwo(scan_start, lanes, &parallel_result)) {
-      return parallel_result;
-    }
-    // Fell back: the sequential scan below is the reference semantics.
+  uint32_t sessions = RecoveryLaneCount(*sim);
+  if (sessions > 1 && sim->session_scheduler() != nullptr) {
+    // A recovery triggered from inside a running session chain (a retry
+    // that restarted the server) cannot nest a second scheduler: it runs
+    // the plan inline, on one lane.
+    sessions = 1;
+    sim->metrics()
+        .GetCounter("phoenix.recovery.replay.fallbacks",
+                    obs::LabelSet{{"process", label},
+                                  {"reason", "nested_scheduler"}})
+        .Increment();
+    sim->tracer().Instant("recovery", "replay_fallback", label,
+                          {obs::Arg("reason", "nested_scheduler")});
   }
 
-  OrderedLogCursor cursor(proc.log(), scan_start);
-  return ReplayScan(cursor);
-}
-
-Status RecoveryManager::ReplayScan(OrderedLogCursor& cursor) {
-  Process& proc = *process_;
-  Simulation* sim = proc.simulation();
-  // Live calls arriving mid-recovery (a peer's retry) force the target
-  // context's pending replay to finish first.
-  proc.SetPendingFlusher([this](uint64_t context_id) {
-    (void)FlushPending(context_id);
-  });
-
-  Status result = Status::OK();
-  while (std::optional<OrderedRecord> rec = cursor.Next()) {
-    ++stats_.records_scanned;
-    sim->clock().AdvanceMs(sim->costs().recovery_scan_record_ms);
-
-    if (const auto* creation = std::get_if<CreationRecord>(&rec->record)) {
-      auto it = infos_.find(creation->context_id);
-      uint64_t origin = it != infos_.end() ? it->second.recovery_order
-                                           : kInvalidLsn;
-      if (origin != kInvalidLsn && rec->order < origin) continue;
-      if (origin != kInvalidLsn && rec->order == origin) {
-        PendingReplay unit;
-        unit.is_creation = true;
-        unit.start_lsn = rec->lsn;
-        unit.order = rec->order;
-        unit.creation = *creation;
-        pending_[creation->context_id] = std::move(unit);
-      }
-      // Creation records newer than the origin (duplicates appended by a
-      // previous recovery's live re-creation) need no replay of their own.
-    } else if (const auto* incoming =
-                   std::get_if<IncomingCallRecord>(&rec->record)) {
-      auto it = infos_.find(incoming->context_id);
-      if (it == infos_.end()) continue;  // context created after this scan?
-      if (it->second.recovery_order != kInvalidLsn &&
-          rec->order < it->second.recovery_order) {
-        continue;
-      }
-      // The previous buffered unit of this context is complete: replay it.
-      result = FlushPending(incoming->context_id);
-      if (!result.ok()) break;
-      if (!proc.alive()) {
-        result = Status::Crashed("process died during recovery replay");
-        break;
-      }
-      if (proc.MaybeCrash(FailurePoint::kBetweenReplayUnits)) {
-        result = Status::Crashed("crashed between replay units");
-        break;
-      }
-      PendingReplay unit;
-      unit.start_lsn = rec->lsn;
-      unit.order = rec->order;
-      unit.incoming = *incoming;
-      pending_[incoming->context_id] = std::move(unit);
-    } else if (const auto* reply =
-                   std::get_if<ReplyReceivedRecord>(&rec->record)) {
-      auto it = pending_.find(reply->context_id);
-      if (it != pending_.end()) {
-        it->second.feed.replies[reply->seq] = *reply;
-      }
-      // No pending unit: the reply belongs to a call already covered by a
-      // state record or flushed early — safely ignored.
-    }
-    // OutgoingCallRecords (baseline message 3) are re-derived by replay;
-    // ReplySentRecords mark completion but replay re-executes uniformly;
-    // state/checkpoint records were handled in pass 1.
+  if (!plan_.has_value()) {
+    // A restore fell back to an older origin, which outdated pass 1's plan:
+    // plan from a fresh scan from the lowest origin.
+    OrderedLogCursor cursor(proc.log(), LowestOrigin());
+    plan_ = PlanFromScan(cursor);
   }
-
-  if (result.ok()) {
-    // End of log: replay the remaining buffered calls — the last incoming
-    // call of each context — oldest first.
-    result = FlushAllPendingOldestFirst();
-  }
-
-  proc.SetPendingFlusher(nullptr);
-  return result;
+  ReplayPlan plan = std::move(*plan_);
+  plan_.reset();
+  return RunPlan(plan, &lanes, sessions);
 }
 
 Status RecoveryManager::ColdStartPassTwo() {
@@ -799,56 +735,16 @@ Status RecoveryManager::FlushAllPendingOldestFirst() {
   return result;
 }
 
-bool RecoveryManager::TryParallelPassTwo(uint64_t scan_start,
-                                         RecoveryLanes& lanes,
-                                         Status* result) {
+Status RecoveryManager::RunPlan(ReplayPlan& plan, RecoveryLanes* lanes,
+                                uint32_t sessions) {
   Process& proc = *process_;
   Simulation* sim = proc.simulation();
   std::string label = ProcLabel(&proc);
   obs::LabelSet labels{{"process", label}};
 
-  auto fall_back = [&](PlanFallback why) {
-    lanes.Close();
-    sim->metrics()
-        .GetCounter("phoenix.recovery.replay.fallbacks",
-                    obs::LabelSet{{"process", label},
-                                  {"reason", PlanFallbackName(why)}})
-        .Increment();
-    sim->tracer().Instant("recovery", "replay_fallback", label,
-                          {obs::Arg("reason", PlanFallbackName(why))});
-    return false;
-  };
-
-  // A recovery triggered from inside a running session chain (a retry that
-  // restarted the server) cannot nest a second scheduler.
-  if (sim->session_scheduler() != nullptr) {
-    return fall_back(PlanFallback::kNestedScheduler);
-  }
-
-  ReplayPlan plan;
-  if (plan_.has_value()) {
-    // Pass 1's plan: its records were read and charged by pass 1.
-    plan = std::move(*plan_);
-    plan_.reset();
-  } else {
-    // A restore fell back to an older origin, which outdated pass 1's plan:
-    // plan from a fresh scan from the lowest origin. The scan is real work
-    // whether or not the plan is usable; when it is, it replaces the
-    // sequential pass's own scan entirely.
-    OrderedLogCursor cursor(proc.log(), scan_start);
-    plan = BuildReplayPlan(cursor, PlanInputs());
-    sim->clock().AdvanceMs(static_cast<double>(plan.records_scanned) *
-                           sim->costs().recovery_scan_record_ms);
-    if (plan.parallel_eligible()) {
-      stats_.records_scanned += plan.records_scanned;
-    }
-  }
-  if (!plan.parallel_eligible()) return fall_back(plan.fallback);
-
   if (plan.salvaged) {
-    // The log was salvaged but enough chains stayed eligible: parallel
-    // replay proceeds, with the demoted chains serialized in log order by
-    // the plan's extra edges.
+    // The log was salvaged: the demoted chains are serialized in log order
+    // by the plan's extra edges, and the clean ones overlap.
     sim->metrics()
         .GetCounter("phoenix.recovery.replay.salvaged_parallel", labels)
         .Increment();
@@ -863,7 +759,6 @@ bool RecoveryManager::TryParallelPassTwo(uint64_t scan_start,
          obs::Arg("serialization_edges", plan.serialization_edges)});
   }
 
-  uint32_t sessions = sim->options().parallel_replay_sessions;
   sim->metrics()
       .GetCounter("phoenix.recovery.replay.chains", labels)
       .Increment(plan.chains.size());
@@ -877,11 +772,13 @@ bool RecoveryManager::TryParallelPassTwo(uint64_t scan_start,
        obs::Arg("edges", plan.cross_edges)});
   TraceFrameScope frame(sim, span);
 
-  // Replay shares the restores' lanes while they are open; a plan built
-  // after they closed gets lanes of its own.
+  // Replay shares the restores' lanes while they are open; otherwise it
+  // gets lanes of its own.
   std::optional<RecoveryLanes> own_lanes;
-  if (!lanes.open()) own_lanes.emplace(sim->clock(), sessions);
-  RecoveryLanes& replay_lanes = own_lanes.has_value() ? *own_lanes : lanes;
+  if (lanes == nullptr || !lanes->open()) {
+    own_lanes.emplace(sim->clock(), sessions);
+  }
+  RecoveryLanes& replay_lanes = own_lanes.has_value() ? *own_lanes : *lanes;
   double restores_ms = replay_lanes.BusyUntilMs() - replay_lanes.start_ms();
   std::map<uint64_t, double> ready_ms =
       ContextReadyTimes(replay_lanes.start_ms());
@@ -898,11 +795,18 @@ bool RecoveryManager::TryParallelPassTwo(uint64_t scan_start,
                           ready_offsets, /*lanes_only=*/true) -
                restores_ms);
   ParallelReplayEngine engine(&proc, &plan, sessions, span.link(), label);
+  // A live call that a salvage gap lets out of a complete unit finds its
+  // target replayed through the unit that logged the same call.
+  proc.SetPendingFlusher(
+      [&engine](uint64_t context_id, const CallMessage& msg) {
+        if (msg.has_call_id) engine.ReplayThrough(context_id, msg.call_id);
+      });
   Status status = engine.Run(
       replay_lanes, ready_ms,
       [this](uint64_t context_id, PendingReplay unit) {
         return ReplayUnit(context_id, std::move(unit));
       });
+  proc.SetPendingFlusher(nullptr);
   // The replay phase's share of the lanes: how far it ran past the
   // restores.
   double makespan_ms = replay_lanes.Close() - restores_ms;
@@ -921,22 +825,21 @@ bool RecoveryManager::TryParallelPassTwo(uint64_t scan_start,
   span.AddArg(obs::Arg("makespan_ms", makespan_ms));
 
   if (status.ok()) {
-    // Tail: each chain's final unit is exactly the sequential replayer's
-    // end-of-log pending set. Flush oldest first with the demand flusher
-    // installed, so a unit that goes live and calls into a context whose
-    // tail has not replayed yet forces that unit through first.
-    proc.SetPendingFlusher([this](uint64_t context_id) {
+    // Tail: each chain's final unit, flushed oldest first with the demand
+    // flusher installed, so a unit that goes live and calls into a context
+    // whose tail has not replayed yet forces that unit through first.
+    proc.SetPendingFlusher([this](uint64_t context_id, const CallMessage&) {
       (void)FlushPending(context_id);
     });
-    for (ReplayChain& chain : plan.chains) {
-      if (chain.units.empty()) continue;
+    for (size_t c = 0; c < plan.chains.size(); ++c) {
+      ReplayChain& chain = plan.chains[c];
+      if (chain.units.empty() || engine.final_replayed(c)) continue;
       pending_[chain.context_id] = std::move(chain.units.back().replay);
     }
     status = FlushAllPendingOldestFirst();
     proc.SetPendingFlusher(nullptr);
   }
-  *result = status;
-  return true;
+  return status;
 }
 
 Status RecoveryManager::FlushPending(uint64_t context_id) {

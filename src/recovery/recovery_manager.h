@@ -11,7 +11,6 @@
 #include "runtime/last_call_table.h"
 #include "runtime/remote_type_table.h"
 #include "wal/log_record.h"
-#include "wal/merged_log_reader.h"
 
 namespace phoenix {
 
@@ -42,29 +41,29 @@ enum class RecoveryMode : int {
 const char* RecoveryModeName(RecoveryMode mode);
 
 // Two-pass crash recovery of a process (§4.4), one pipeline for every log
-// layout: each pass drains an OrderedLogCursor (wal/merged_log_reader.h),
+// layout: each read drains an OrderedLogCursor (wal/merged_log_reader.h),
 // which on a single log is a plain LogReader whose order is the LSN and on
 // a sharded WAL is the gsn-ordered k-way merge of the shard logs.
 //
-// Pass 1 scans from the published checkpoint (the well-known-file record's
+// Pass 1 reads from the published checkpoint (the well-known-file record's
 // order; the whole log when none) to the end, collecting every context
 // that existed at the crash with its newest state-record/creation LSN and
-// that record's order, plus the checkpointed global tables. Contexts with
-// state records are then restored field by field. With parallel replay the
-// same scan also builds the replay plan (ReplayPlanner): it then starts at
-// the lowest origin the published bracket names, and the records below the
-// checkpoint cut feed only the planner.
+// that record's order, plus the checkpointed global tables. The same read
+// feeds the replay planner (ReplayPlanner); once it has fixed the origins,
+// pass 1 reads the records from the lowest origin up to the cut for the
+// planner alone, so each record from the lowest origin on is read, and
+// charged, once. Contexts with state records are then restored field by
+// field.
 //
-// Pass 2 replays from the minimum recovery order. The sequential replayer
-// scans again, buffering each context's message records per incoming call
-// and replaying a call once the next incoming record arrives; outgoing
-// calls are answered from the buffered replies and suppressed (Figure 5).
-// The parallel one runs pass 1's plan on the lanes the restores ran on
-// (parallel_replay.h). The final buffered call of each context replays
-// last and may run into live execution when a logged reply is missing —
-// its outgoing calls then really go out, with the same deterministic IDs,
-// and the servers eliminate duplicates. Replies of replayed calls go to
-// the recovery manager, never to clients (condition 5).
+// Pass 2 runs pass 1's plan on the replay engine (parallel_replay.h), on
+// the lanes the restores ran on: one lane unless parallel replay is on.
+// Replayed calls' outgoing calls are answered from the buffered replies and
+// suppressed (Figure 5). The final unit of each context replays last,
+// oldest first, and may run into live execution when a logged reply is
+// missing — its outgoing calls then really go out, with the same
+// deterministic IDs, and the servers eliminate duplicates. Replies of
+// replayed calls go to the recovery manager, never to clients
+// (condition 5).
 class RecoveryManager {
  public:
   explicit RecoveryManager(Process* process,
@@ -76,10 +75,10 @@ class RecoveryManager {
   Status Recover();
 
   // Damage assessment and pass 1: the recovery map, the rebuilt global
-  // tables and, when pass 1 plans the replay, plan(). Recover() runs it
+  // tables and, on every rung but cold start, plan(). Recover() runs it
   // first; on its own it lets a caller inspect what recovery would do.
   Status Analyze();
-  // The replay plan pass 1 built; null when it built none, and once pass 2
+  // The replay plan pass 1 built; null on a cold start, and once pass 2
   // took it over (or a restore fell back to an older origin).
   const ReplayPlan* plan() const {
     return plan_.has_value() ? &*plan_ : nullptr;
@@ -122,14 +121,14 @@ class RecoveryManager {
   // metric and a tracer instant.
   uint64_t AssessAndSalvageLog();
 
-  // Whether pass 1 plans the replay: parallel replay is on and pass 2 will
-  // run it — it replays (no cold start) and is not nested in a running
-  // session chain, which cannot host a second scheduler.
-  bool PlansReplay() const;
-  // Lowest order among the origins the checkpoint bracket at `cut` names
-  // (its context entries, §4.3's recovery LSNs), or `cut` when that is
-  // lower or no checkpoint is published.
-  uint64_t BracketOriginFloor(uint64_t cut);
+  // Charges pass 1's read of one record; Crashed when the analysis scan
+  // crash point fires.
+  Status ScanRecord();
+  // A plan of a fresh read of `cursor` against the recovery map, charged
+  // per record read.
+  ReplayPlan PlanFromScan(OrderedLogCursor& cursor);
+  // Lowest replay origin order: where the replay plan starts.
+  uint64_t LowestOrigin() const;
   Status PassOne(uint64_t start_order);
   // Points `info` at the origin record at `lsn`, looking up its order.
   void SetOrigin(ContextInfo& info, uint64_t lsn);
@@ -154,22 +153,14 @@ class RecoveryManager {
   // by name) once every restore is; and, since a unit may call a local
   // stateless (functional or read-only) context live, once those are.
   std::map<uint64_t, double> ContextReadyTimes(double start_ms) const;
+  // Pass 2: runs pass 1's plan — or, when a restore outdated it, a plan
+  // from a fresh scan from the lowest origin — on `lanes`, inline on one
+  // lane when this recovery is nested in a running session chain.
   Status PassTwo(RecoveryLanes& lanes);
-  // Pass 2's sequential replay: drains `cursor`, buffering each context's
-  // records per incoming call and replaying a unit once the next one
-  // arrives, then flushes the end-of-log units oldest first.
-  Status ReplayScan(OrderedLogCursor& cursor);
-  // Plan-driven parallel pass 2 (recovery/replay_plan.h), attempted when
-  // RuntimeOptions.parallel_replay is on: takes pass 1's chain/edge plan
-  // (or, when a restore outdated it, plans from a fresh scan from
-  // `scan_start`, an order), replays non-final units as overlapping
-  // sessions on `lanes` — or on lanes of its own once those closed — then
-  // runs the sequential end-of-log flush over each chain's final unit.
-  // Returns true when it ran to a decision (*result holds the status);
-  // false, with `lanes` closed, to fall back to the sequential scan
-  // (ambiguous salvaged log, nested scheduler, or fewer than two chains).
-  bool TryParallelPassTwo(uint64_t scan_start, RecoveryLanes& lanes,
-                          Status* result);
+  // The executor: replays the plan's non-final units on `sessions` lanes —
+  // `lanes` while they are open, lanes of its own when there are none or
+  // they closed — then each chain's final unit in the end-of-log flush.
+  Status RunPlan(ReplayPlan& plan, RecoveryLanes* lanes, uint32_t sessions);
   // Cold-start replacement for pass 2 (RecoveryMode::kColdStart): replays
   // only the creation of contexts with no saved state so components
   // initialize; every logged message after the origins is abandoned.

@@ -7,29 +7,9 @@
 
 namespace phoenix {
 
-const char* PlanFallbackName(PlanFallback fallback) {
-  switch (fallback) {
-    case PlanFallback::kNone:
-      return "none";
-    case PlanFallback::kSalvagedLog:
-      return "salvaged_log";
-    case PlanFallback::kTooFewChains:
-      return "too_few_chains";
-    case PlanFallback::kNestedScheduler:
-      return "nested_scheduler";
-  }
-  return "unknown";
-}
-
 size_t ReplayPlan::total_units() const {
   size_t n = 0;
   for (const ReplayChain& chain : chains) n += chain.units.size();
-  return n;
-}
-
-size_t ReplayPlan::eligible_chains() const {
-  size_t n = 0;
-  for (const ReplayChain& chain : chains) n += chain.parallel_eligible ? 1 : 0;
   return n;
 }
 
@@ -89,28 +69,27 @@ class PlanBuilder {
   PlanBuilder(ReplayPlan& plan, const ReplayPlanInputs& inputs)
       : plan_(plan), inputs_(inputs) {}
 
-  // At most how many units `context_id`'s chain will get, so it is sized
-  // once.
+  // About how many units `context_id`'s chain will get, so it is sized
+  // about once.
   void HintUnits(uint64_t context_id, size_t units) {
     unit_hints_[context_id] = units;
   }
 
-  void Add(const OrderedRecord& rec) {
+  // Takes the record's payload over: a plan holds every unit at once.
+  void Add(OrderedRecord rec) {
     ++plan_.records_scanned;
-    if (const auto* creation = std::get_if<CreationRecord>(&rec.record)) {
-      OnCreation(rec.lsn, rec.order, *creation);
-    } else if (const auto* incoming =
-                   std::get_if<IncomingCallRecord>(&rec.record)) {
-      OnIncoming(rec.lsn, rec.order, *incoming);
-    } else if (const auto* reply =
-                   std::get_if<ReplyReceivedRecord>(&rec.record)) {
-      OnReply(rec.lsn, *reply);
+    if (auto* creation = std::get_if<CreationRecord>(&rec.record)) {
+      OnCreation(rec.lsn, rec.order, std::move(*creation));
+    } else if (auto* incoming = std::get_if<IncomingCallRecord>(&rec.record)) {
+      OnIncoming(rec.lsn, rec.order, std::move(*incoming));
+    } else if (auto* reply = std::get_if<ReplyReceivedRecord>(&rec.record)) {
+      OnReply(rec.lsn, std::move(*reply));
     }
     // Other record types were pass 1's business.
   }
 
  private:
-  void OnCreation(uint64_t lsn, uint64_t order, const CreationRecord& rec) {
+  void OnCreation(uint64_t lsn, uint64_t order, CreationRecord rec) {
     // Only the origin creation record opens a chain; newer duplicates
     // (re-creations appended by a previous recovery) replay nothing.
     auto it = inputs_.origin_orders.find(rec.context_id);
@@ -122,31 +101,34 @@ class PlanBuilder {
     unit.is_creation = true;
     unit.start_lsn = lsn;
     unit.order = order;
-    unit.creation = rec;
-    PushUnit(rec.context_id, std::move(unit));
+    uint64_t context_id = rec.context_id;
+    unit.creation = std::move(rec);
+    PushUnit(context_id, std::move(unit));
   }
 
-  void OnIncoming(uint64_t lsn, uint64_t order,
-                  const IncomingCallRecord& rec) {
-    auto it = inputs_.origin_orders.find(rec.context_id);
+  void OnIncoming(uint64_t lsn, uint64_t order, IncomingCallRecord rec) {
+    uint64_t context_id = rec.context_id;
+    auto it = inputs_.origin_orders.find(context_id);
     if (it == inputs_.origin_orders.end()) return;
     if (it->second != kInvalidLsn && order < it->second) return;
 
     PendingReplay unit;
     unit.start_lsn = lsn;
     unit.order = order;
-    unit.incoming = rec;
-    UnitRef target = PushUnit(rec.context_id, std::move(unit));
+    unit.incoming = std::move(rec);
+    UnitRef target = PushUnit(context_id, std::move(unit));
 
     // Cross-chain edge: the call was issued by a local caller context
     // whose open unit must replay before this one (it is the unit whose
     // execution produced the call). The ClientKey's component id is the
     // caller's context id; external clients and remote processes fail
     // the machine/pid match and contribute no edge.
-    const ClientKey& caller = rec.call_id.caller;
+    const ClientKey& caller = plan_.chains[target.chain]
+                                  .units[target.index]
+                                  .replay.incoming.call_id.caller;
     if (caller.machine == inputs_.machine &&
         caller.process_id == inputs_.process_id &&
-        caller.component_id != rec.context_id) {
+        caller.component_id != context_id) {
       if (std::optional<UnitRef> source = OpenRef(caller.component_id);
           source.has_value() && source->chain != target.chain) {
         plan_.chains[target.chain].units[target.index].deps.push_back(
@@ -158,11 +140,12 @@ class PlanBuilder {
     }
   }
 
-  void OnReply(uint64_t lsn, const ReplyReceivedRecord& rec) {
+  void OnReply(uint64_t lsn, ReplyReceivedRecord rec) {
     if (std::optional<UnitRef> ref = OpenRef(rec.context_id);
         ref.has_value()) {
       PlannedUnit& unit = plan_.chains[ref->chain].units[ref->index];
-      unit.replay.feed.replies[rec.seq] = rec;
+      uint64_t seq = rec.seq;
+      unit.replay.feed.replies[seq] = std::move(rec);
       unit.extent_end_lsn = lsn;
     }
   }
@@ -210,55 +193,41 @@ class PlanBuilder {
 // live in the same space (plain LSNs on one log, composite LSNs sharded —
 // where shard bits make cross-shard intersections provably empty), but the
 // serialization sort keys on the units' replay order.
-void DigestSalvageAndFinalize(ReplayPlan& plan,
-                              const std::vector<SkippedRange>& gaps) {
+void DigestSalvage(ReplayPlan& plan, const std::vector<SkippedRange>& gaps) {
   plan.salvaged = !gaps.empty();
   plan.skipped_ranges = gaps.size();
-  if (plan.salvaged) {
-    for (ReplayChain& chain : plan.chains) {
-      for (const PlannedUnit& unit : chain.units) {
-        for (const SkippedRange& gap : gaps) {
-          if (gap.from_lsn < unit.extent_end_lsn &&
-              gap.to_lsn > unit.replay.start_lsn) {
-            chain.parallel_eligible = false;
-          }
+  if (!plan.salvaged) return;
+  for (ReplayChain& chain : plan.chains) {
+    for (const PlannedUnit& unit : chain.units) {
+      for (const SkippedRange& gap : gaps) {
+        if (gap.from_lsn < unit.extent_end_lsn &&
+            gap.to_lsn > unit.replay.start_lsn) {
+          chain.parallel_eligible = false;
         }
-      }
-      if (!chain.parallel_eligible) ++plan.demoted_chains;
-    }
-    if (plan.demoted_chains > 0) {
-      std::vector<std::pair<uint64_t, UnitRef>> demoted;
-      for (uint32_t c = 0; c < plan.chains.size(); ++c) {
-        if (plan.chains[c].parallel_eligible) continue;
-        for (uint32_t u = 0; u < plan.chains[c].units.size(); ++u) {
-          demoted.emplace_back(plan.chains[c].units[u].replay.order,
-                               UnitRef{c, u});
-        }
-      }
-      std::sort(demoted.begin(), demoted.end());
-      for (size_t i = 1; i < demoted.size(); ++i) {
-        const UnitRef& source = demoted[i - 1].second;
-        const UnitRef& target = demoted[i].second;
-        if (source.chain == target.chain) continue;  // chain order covers it
-        std::vector<UnitRef>& deps =
-            plan.chains[target.chain].units[target.index].deps;
-        if (std::find(deps.begin(), deps.end(), source) != deps.end()) {
-          continue;
-        }
-        deps.push_back(source);
-        plan.chains[source.chain].units[source.index].dependents.push_back(
-            target);
-        ++plan.serialization_edges;
       }
     }
+    if (!chain.parallel_eligible) ++plan.demoted_chains;
   }
-
-  if (plan.salvaged && plan.eligible_chains() < 2) {
-    plan.fallback = PlanFallback::kSalvagedLog;
-    return;
+  std::vector<std::pair<uint64_t, UnitRef>> demoted;
+  for (uint32_t c = 0; c < plan.chains.size(); ++c) {
+    if (plan.chains[c].parallel_eligible) continue;
+    for (uint32_t u = 0; u < plan.chains[c].units.size(); ++u) {
+      demoted.emplace_back(plan.chains[c].units[u].replay.order,
+                           UnitRef{c, u});
+    }
   }
-  if (plan.chains.size() < 2) {
-    plan.fallback = PlanFallback::kTooFewChains;
+  std::sort(demoted.begin(), demoted.end());
+  for (size_t i = 1; i < demoted.size(); ++i) {
+    const UnitRef& source = demoted[i - 1].second;
+    const UnitRef& target = demoted[i].second;
+    if (source.chain == target.chain) continue;  // chain order covers it
+    std::vector<UnitRef>& deps =
+        plan.chains[target.chain].units[target.index].deps;
+    if (std::find(deps.begin(), deps.end(), source) != deps.end()) continue;
+    deps.push_back(source);
+    plan.chains[source.chain].units[source.index].dependents.push_back(
+        target);
+    ++plan.serialization_edges;
   }
 }
 
@@ -318,8 +287,10 @@ ReplayPlan BuildReplayPlan(OrderedLogCursor& cursor,
                            const ReplayPlanInputs& inputs) {
   ReplayPlan plan;
   PlanBuilder builder(plan, inputs);
-  while (std::optional<OrderedRecord> rec = cursor.Next()) builder.Add(*rec);
-  DigestSalvageAndFinalize(plan, cursor.gaps());
+  while (std::optional<OrderedRecord> rec = cursor.Next()) {
+    builder.Add(std::move(*rec));
+  }
+  DigestSalvage(plan, cursor.gaps());
   return plan;
 }
 
@@ -338,7 +309,11 @@ void ReplayPlanner::Add(OrderedRecord rec) {
     if (state != nullptr && rec.order >= cut_) kept_.erase(state->context_id);
     return;
   }
-  kept_[context_id].push_back(std::move(rec));
+  if (rec.order < cut_) {
+    below_cut_.push_back(std::move(rec));
+  } else {
+    kept_[context_id].push_back(std::move(rec));
+  }
 }
 
 ReplayPlan ReplayPlanner::Finish(const std::vector<SkippedRange>& gaps,
@@ -352,18 +327,22 @@ ReplayPlan ReplayPlanner::Finish(const std::vector<SkippedRange>& gaps,
           return !std::holds_alternative<ReplyReceivedRecord>(rec.record);
         }));
   }
-  // Each context's records ascend by order: merge them back into log
-  // order, freeing them as the plan takes them over.
+  // The back-fill first, then each context's records, which ascend by
+  // order, merged back into log order; each is freed as the plan takes it
+  // over.
+  for (; !below_cut_.empty(); below_cut_.pop_front()) {
+    builder.Add(std::move(below_cut_.front()));
+  }
   while (!kept_.empty()) {
     auto next = kept_.begin();
     for (auto it = std::next(kept_.begin()); it != kept_.end(); ++it) {
       if (it->second.front().order < next->second.front().order) next = it;
     }
-    builder.Add(next->second.front());
+    builder.Add(std::move(next->second.front()));
     next->second.pop_front();
     if (next->second.empty()) kept_.erase(next);
   }
-  DigestSalvageAndFinalize(plan, gaps);
+  DigestSalvage(plan, gaps);
   return plan;
 }
 
@@ -398,7 +377,7 @@ ReplayPlan BuildReplayPlanFromRecords(const std::vector<OrderedRecord>& records,
   for (const OrderedRecord& rec : records) {
     if (rec.order >= start_order) builder.Add(rec);
   }
-  DigestSalvageAndFinalize(plan, gaps);
+  DigestSalvage(plan, gaps);
   return plan;
 }
 

@@ -23,12 +23,11 @@ namespace phoenix {
 // and Yao et al.; here the dependency unit is the paper's per-context
 // buffered replay call).
 //
-// Chain model. A chain is one context's replay units in log order — exactly
-// the units the sequential replayer buffers (PendingReplay): the creation
-// call, then one unit per logged incoming call, each with the reply feed of
-// the outgoing calls it made. Units within a chain are totally ordered
-// (context state evolves sequentially); that order is implicit and not
-// represented as edges.
+// Chain model. A chain is one context's replay units in log order
+// (PendingReplay): the creation call, then one unit per logged incoming
+// call, each with the reply feed of the outgoing calls it made. Units
+// within a chain are totally ordered (context state evolves sequentially);
+// that order is implicit and not represented as edges.
 //
 // Edge rule. When an incoming-call record of context B names a *local*
 // caller context A (the CallId's ClientKey carries machine / logical pid /
@@ -36,8 +35,8 @@ namespace phoenix {
 // planner adds one edge from A's unit that was open at that point in the
 // log (the unit whose execution issued the call) to B's new unit. Edges
 // therefore always point from a smaller-order unit to a larger one —
-// the plan is a DAG by construction, and the edge order coincides with the
-// order the sequential replayer flushes those units. Calls from external
+// the plan is a DAG by construction, and ascending order is a topological
+// order: the one-lane schedule (parallel_replay.h). Calls from external
 // clients or from remote processes add no edge: their effects reach this
 // log only through the records already in the chain.
 //
@@ -49,13 +48,10 @@ namespace phoenix {
 // mid-unit and must not overlap freely with the rest. Demoted units are
 // serialized against each other in global log order by extra dependency
 // edges woven into the plan itself (serialization_edges); clean chains
-// still overlap. Records lost to a gap are equally invisible to the
-// sequential replayer — both engines replay exactly the readable records —
-// so eligibility is about scheduling conservatism, not correctness of
-// membership. The plan refuses parallel execution (fallback != kNone) only
-// when fewer than two eligible chains remain. The recovery manager adds
-// its own runtime condition (recovery triggered from inside a running
-// session chain cannot nest a second scheduler).
+// still overlap. Records lost to a gap are invisible to replay whatever
+// the schedule — the plan holds exactly the readable records — so
+// eligibility is about scheduling conservatism, not correctness of
+// membership. Every plan runs, salvaged or not, with any number of chains.
 
 // Position of one unit inside a plan: chain index + index within the chain.
 struct UnitRef {
@@ -91,20 +87,9 @@ struct ReplayChain {
   bool parallel_eligible = true;
 };
 
-// Why a plan (or the recovery manager) refused parallel execution.
-enum class PlanFallback {
-  kNone = 0,
-  kSalvagedLog,      // salvage gaps left fewer than two eligible chains
-  kTooFewChains,     // fewer than two chains: nothing to overlap
-  kNestedScheduler,  // recovery already runs inside a session chain
-};
-
-const char* PlanFallbackName(PlanFallback fallback);
-
 struct ReplayPlan {
   std::vector<ReplayChain> chains;  // ordered by first-unit start LSN
   uint64_t cross_edges = 0;
-  PlanFallback fallback = PlanFallback::kNone;
   // Records examined by the planning scan (recovery charges its scan cost).
   uint64_t records_scanned = 0;
   // Salvage accounting: the scan skipped unreadable ranges (or found a torn
@@ -114,9 +99,7 @@ struct ReplayPlan {
   uint32_t demoted_chains = 0;       // chains with parallel_eligible=false
   uint64_t serialization_edges = 0;  // extra log-order edges among demoted
 
-  bool parallel_eligible() const { return fallback == PlanFallback::kNone; }
   size_t total_units() const;
-  size_t eligible_chains() const;
   const PlannedUnit& unit(UnitRef ref) const {
     return chains[ref.chain].units[ref.index];
   }
@@ -155,36 +138,40 @@ struct ReplayPlanInputs {
 // record it yields, and digests the damage it reports as salvage gaps. Pure
 // analysis: never touches the clock, the process or any component.
 // Mid-scan damage does not abort planning: the scan salvages past it and
-// demotes only the chains whose unit extents the damage intersected
-// (fallback = kSalvagedLog only when fewer than two eligible chains
-// survive).
+// demotes only the chains whose unit extents the damage intersected.
 ReplayPlan BuildReplayPlan(OrderedLogCursor& cursor,
                            const ReplayPlanInputs& inputs);
 
-// The planner pass 1 of crash recovery feeds (recovery_manager.h): the
-// analysis scan hands it every record it reads, and once the scan has fixed
-// the replay origins, Finish plans the kept records exactly as
-// BuildReplayPlan plans the same range of the log. Origins are not known
-// while the scan runs, so the records a plan is built from (creations,
-// incoming calls, received replies) are kept per context. A state record at
-// or above `cut` is pass 1's newest origin for its context so far — pass 1
-// only ever moves an origin up from there — so every earlier record of
-// that context lies below the final origin and is dropped on the spot,
-// which keeps the records held close to what the plan will hold. (A
-// restore that falls back to an older origin outdates the plan; recovery
-// then plans again from a fresh scan.)
+// The planner pass 1 of crash recovery feeds (recovery_manager.h). Pass 1
+// reads the log from the checkpoint cut to the end and hands the planner
+// every record; once that read has fixed the replay origins, it reads the
+// records from the lowest origin up to the cut (the back-fill) and hands
+// those over too. Finish then plans the records exactly as BuildReplayPlan
+// plans the log from the lowest origin on: every back-filled record is
+// ordered below every kept one, so the back-fill goes first. Origins are
+// not known while the first read runs, so the records a plan is built from
+// (creations, incoming calls, received replies) are kept per context. A
+// state record at or above the cut is pass 1's newest origin for its
+// context so far — pass 1 only ever moves an origin up from there — so
+// every earlier record of that context lies below the final origin and is
+// dropped on the spot, which keeps the records held close to what the plan
+// will hold. (A restore that falls back to an older origin outdates the
+// plan; recovery then plans again from a fresh scan.)
 class ReplayPlanner {
  public:
   explicit ReplayPlanner(uint64_t cut) : cut_(cut) {}
 
+  // A record pass 1 read: first those from the cut on, then the back-fill,
+  // each in log order.
   void Add(OrderedRecord rec);
   // Plans the kept records in log order against pass 1's final origins;
-  // `gaps` are the scan's salvage gaps (OrderedLogCursor::gaps()).
+  // `gaps` are both reads' salvage gaps (OrderedLogCursor::gaps()).
   ReplayPlan Finish(const std::vector<SkippedRange>& gaps,
                     const ReplayPlanInputs& inputs) &&;
 
  private:
   uint64_t cut_;
+  std::deque<OrderedRecord> below_cut_;  // the back-fill, in log order
   std::map<uint64_t, std::deque<OrderedRecord>> kept_;  // per context
 };
 

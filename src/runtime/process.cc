@@ -401,7 +401,7 @@ Result<ReplyMessage> Process::DeliverCall(const CallMessage& msg) {
   }
   if (recovering_ && pending_flusher_ != nullptr) {
     // Finish recovering the target context before serving live traffic.
-    pending_flusher_(ctx->id());
+    pending_flusher_(ctx->id(), msg);
     if (!alive_) return Status::Unavailable("process is down");
     ctx = FindContextOfComponent(target.component_name);
     if (ctx == nullptr) {

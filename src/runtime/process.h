@@ -123,9 +123,10 @@ class Process {
   bool MaybeCrash(FailurePoint point);
 
   // While recovering, DeliverCall flushes the target context's pending
-  // replay through this hook before handling a live call — a context must
-  // be recovered to its last send before serving anyone (condition 1).
-  using PendingFlusher = std::function<void(uint64_t context_id)>;
+  // replay through this hook before handling a live call `msg` — a context
+  // must be recovered to its last send before serving anyone (condition 1).
+  using PendingFlusher =
+      std::function<void(uint64_t context_id, const CallMessage& msg)>;
   void SetPendingFlusher(PendingFlusher flusher) {
     pending_flusher_ = std::move(flusher);
   }

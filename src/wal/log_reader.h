@@ -52,6 +52,8 @@ class LogView {
 struct SkippedRange {
   uint64_t from_lsn = 0;
   uint64_t to_lsn = 0;
+
+  friend bool operator==(const SkippedRange&, const SkippedRange&) = default;
 };
 
 // Sequential scanner over a log image, reading frames by the image's format

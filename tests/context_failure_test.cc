@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
 #include "common/strings.h"
 #include "recovery/checkpoint_manager.h"
 #include "recovery/recovery_manager.h"
@@ -141,6 +143,80 @@ TEST_F(ContextFailureTest, OtherContextsUntouched) {
     EXPECT_EQ(client.Call(*a, "Get", {})->AsInt(), 1);
     EXPECT_EQ(client.Call(*b, "Get", {})->AsInt(), 2);
   }
+}
+
+TEST_F(ContextFailureTest, LocalCallerWithoutAChainInThePlan) {
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE(StrCat(shards, " shard(s)"));
+    SetUpSim(shards);
+    // leaf's Adds come from mid, a local caller. Recovering leaf alone
+    // plans leaf's chain only: its calls name a caller with no chain in the
+    // plan, so they depend on nothing, and mid is neither replayed nor
+    // touched.
+    ExternalClient client(sim_.get(), "alpha");
+    auto leaf = client.CreateComponent(*proc_, "Counter", "leaf",
+                                       ComponentKind::kPersistent, {});
+    auto mid = client.CreateComponent(*proc_, "Chain", "mid",
+                                      ComponentKind::kPersistent,
+                                      MakeArgs(*leaf));
+    ASSERT_TRUE(leaf.ok() && mid.ok());
+    for (int i = 1; i <= 3; ++i) {
+      ASSERT_TRUE(client.Call(*mid, "Bump", MakeArgs(i)).ok());
+    }
+    Context* ctx = proc_->FindContextOfComponent("leaf");
+    Component* mid_instance = proc_->FindComponent("mid")->instance.get();
+    int adds = ExecutionLog::Of("leaf.Add");
+    int bumps = ExecutionLog::Of("mid.Bump");
+
+    ctx->ClearMembers();
+    ASSERT_TRUE(RecoverContextFailure(proc_, ctx->id()).ok());
+    EXPECT_EQ(
+        sim_->metrics().CounterTotal("phoenix.recovery.replay.chains"), 1u);
+    EXPECT_EQ(ExecutionLog::Of("leaf.Add"), adds + 3);  // replayed
+    EXPECT_EQ(ExecutionLog::Of("mid.Bump"), bumps);
+    EXPECT_EQ(proc_->FindComponent("mid")->instance.get(), mid_instance);
+    EXPECT_EQ(client.Call(*leaf, "Get", {})->AsInt(), 6);
+    EXPECT_EQ(client.Call(*mid, "Get", {})->AsInt(), 6);
+  }
+}
+
+TEST_F(ContextFailureTest, LostReplyLiveCallIsAnsweredByItsCallee) {
+  // mid's logged reply from leaf's Add(1) bit-rots. Recovering mid alone
+  // replays its Bump(1) into a live call to leaf, which is not recovering
+  // and has already served that call id and mid's later ones: leaf does
+  // not execute it again. (One log: a stable-log walk places the rot.)
+  SetUpSim(1);
+  ExternalClient client(sim_.get(), "alpha");
+  auto leaf = client.CreateComponent(*proc_, "Counter", "leaf",
+                                     ComponentKind::kPersistent, {});
+  auto mid = client.CreateComponent(*proc_, "Chain", "mid",
+                                    ComponentKind::kPersistent,
+                                    MakeArgs(*leaf));
+  ASSERT_TRUE(leaf.ok() && mid.ok());
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(client.Call(*mid, "Bump", MakeArgs(i)).ok());
+  }
+  Context* ctx = proc_->FindContextOfComponent("mid");
+  uint64_t rotted = kInvalidLsn;
+  LogView stable = proc_->log().StableView();
+  LogReader reader(stable, proc_->log().head_base());
+  while (auto parsed = reader.Next()) {
+    const auto* reply = std::get_if<ReplyReceivedRecord>(&parsed->record);
+    if (reply != nullptr && reply->context_id == ctx->id()) {
+      rotted = parsed->lsn;
+      break;
+    }
+  }
+  ASSERT_NE(rotted, kInvalidLsn);
+  sim_->storage().CorruptLog(proc_->log_name(), rotted + 8,
+                             /*flip_count=*/2);
+  int adds = ExecutionLog::Of("leaf.Add");
+
+  ctx->ClearMembers();
+  ASSERT_TRUE(RecoverContextFailure(proc_, ctx->id()).ok());
+  EXPECT_EQ(ExecutionLog::Of("leaf.Add"), adds);
+  EXPECT_EQ(client.Call(*leaf, "Get", {})->AsInt(), 6);
+  EXPECT_EQ(client.Call(*mid, "Get", {})->AsInt(), 6);
 }
 
 TEST_F(ContextFailureTest, SubordinatesComeBackWithParent) {

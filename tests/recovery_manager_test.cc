@@ -1,6 +1,6 @@
 // Finer-grained recovery-manager behavior: pass statistics, table
-// restoration, id continuity, the lost-creation-record path, and the
-// recovery lanes restores and parallel replay share.
+// restoration, id continuity, the lost-creation-record path, the recovery
+// lanes restores and replay share, and the one-lane schedule.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "recovery/recovery_service.h"
 #include "recovery/replay_plan.h"
 #include "tests/test_components.h"
+#include "wal/log_reader.h"
 
 namespace phoenix {
 namespace {
@@ -254,6 +255,17 @@ TEST(RestoreLanesTest, RecoveryInsideAnotherReplayRunsOnCallersLane) {
                     {"reason", "nested_scheduler"}});
   ASSERT_NE(nested, nullptr);
   EXPECT_EQ(nested->value(), 1u);
+  // B ran its plan inline on A's lane: on one lane, with no sessions of its
+  // own.
+  obs::LabelSet b_label{{"process", StrCat("alpha/", b.pid())}};
+  EXPECT_EQ(sim.metrics()
+                .GetGauge("phoenix.recovery.replay.parallelism", b_label)
+                .value(),
+            1.0);
+  const obs::Counter* b_chains =
+      sim.metrics().FindCounter("phoenix.recovery.replay.chains", b_label);
+  ASSERT_NE(b_chains, nullptr);
+  EXPECT_GT(b_chains->value(), 0u);
   EXPECT_EQ(client.Call(*mid, "Get", {})->AsInt(), 6);
   EXPECT_EQ(client.Call(*solo, "Get", {})->AsInt(), 12);
   EXPECT_EQ(client.Call(*keep, "Get", {})->AsInt(), 4);
@@ -440,10 +452,64 @@ TEST(RestoreLanesTest, PhaseSpansSumToTheRecoveryDuration) {
   }
 }
 
+TEST(OneLaneScheduleTest, NonFinalUnitsInLogOrderThenFinalsOldestFirst) {
+  RuntimeOptions opts;  // parallel replay off: one lane
+  Simulation sim(opts);
+  RegisterTestComponents(sim.factories());
+  Machine& alpha = sim.AddMachine("alpha");
+  Process& proc = alpha.CreateProcess();
+  DeployLaneWorkload(sim, proc, /*squarer=*/true);
+  proc.Kill();
+
+  // An independent walk of the stable log: every logged incoming call, and
+  // per context the last one, its final unit.
+  struct Call {
+    uint64_t context = 0;
+    std::string method;
+    bool final = false;
+  };
+  std::vector<Call> calls;
+  std::map<uint64_t, size_t> last;
+  LogView view = proc.log().StableView();
+  LogReader reader(view, proc.log().head_base());
+  while (auto parsed = reader.Next()) {
+    if (const auto* in = std::get_if<IncomingCallRecord>(&parsed->record)) {
+      last[in->context_id] = calls.size();
+      calls.push_back(Call{in->context_id, in->method});
+    }
+  }
+  for (const auto& [context, index] : last) calls[index].final = true;
+  std::vector<std::string> expected;
+  for (bool finals : {false, true}) {
+    for (const Call& call : calls) {
+      if (call.final == finals) {
+        expected.push_back(StrCat(call.context, ":", call.method));
+      }
+    }
+  }
+
+  sim.tracer().set_enabled(true);
+  ASSERT_TRUE(alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
+  std::vector<std::string> replayed;
+  for (const obs::TraceEvent& e : sim.tracer().events()) {
+    if (e.category != "intercept" || e.phase != obs::TracePhase::kBegin ||
+        e.name.rfind("replay:", 0) != 0) {
+      continue;
+    }
+    for (const obs::TraceArg& arg : e.args) {
+      if (arg.key == "context") {
+        replayed.push_back(StrCat(arg.value, ":", e.name.substr(7)));
+      }
+    }
+  }
+  EXPECT_EQ(replayed, expected);
+  EXPECT_EQ(sim.metrics().GaugeTotal("phoenix.recovery.replay.parallelism"),
+            1.0);
+}
+
 // Structural fingerprint of a plan: chains, units, feeds and edges.
 std::string Describe(const ReplayPlan& plan) {
-  std::string out = StrCat("fallback=", PlanFallbackName(plan.fallback),
-                           " cross_edges=", plan.cross_edges, "\n");
+  std::string out = StrCat("cross_edges=", plan.cross_edges, "\n");
   for (const ReplayChain& chain : plan.chains) {
     out += StrCat("ctx ", chain.context_id, ":");
     for (const PlannedUnit& unit : chain.units) {

@@ -1,9 +1,12 @@
 // Replay planner properties: deterministic plans across same-seed runs,
 // DAG shape (acyclicity, forward-only edges), cross-context edges at local
-// call boundaries with replies feeding the open unit, salvage-aware
+// call boundaries with replies feeding the open unit, and salvage-aware
 // eligibility (only chains whose record extents intersect a salvage gap are
-// demoted; a torn tail demotes nothing), and parallel end state identical
-// to sequential replay — including on salvaged logs.
+// demoted; a torn tail demotes nothing). Then the replay engine end to end:
+// four lanes end where one lane does and at the state the workload implies
+// — on salvaged logs, decimated plans and single-chain plans too, and when
+// a lost reply sends a complete unit's call out live — and the one-lane
+// schedule is the order an independent walk of the log gives.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "recovery/checkpoint_manager.h"
 #include "recovery/replay_plan.h"
 #include "tests/test_components.h"
 
@@ -61,8 +65,7 @@ ReplayPlan PlanFor(Process& proc) {
 
 // Structural fingerprint: everything that determines parallel execution.
 std::string Describe(const ReplayPlan& plan) {
-  std::string out = StrCat("fallback=", PlanFallbackName(plan.fallback),
-                           " cross_edges=", plan.cross_edges, "\n");
+  std::string out = StrCat("cross_edges=", plan.cross_edges, "\n");
   for (const ReplayChain& chain : plan.chains) {
     out += StrCat("ctx ", chain.context_id, ":");
     for (const PlannedUnit& unit : chain.units) {
@@ -121,7 +124,6 @@ TEST_F(ReplayPlanTest, SameSeedRunsProduceIdenticalPlans) {
 TEST_F(ReplayPlanTest, PlanIsAnAcyclicForwardDag) {
   BuildWorkload(sim_.get(), proc_);
   ReplayPlan plan = PlanFor(*proc_);
-  ASSERT_TRUE(plan.parallel_eligible());
   ASSERT_GE(plan.chains.size(), 3u);  // leaf, mid, solo (+ activator edges)
   EXPECT_GT(plan.cross_edges, 0u);
 
@@ -172,7 +174,6 @@ TEST_F(ReplayPlanTest, PlanIsAnAcyclicForwardDag) {
 TEST_F(ReplayPlanTest, CrossContextCallsProduceEdgesAndReplyFeeds) {
   BuildWorkload(sim_.get(), proc_);
   ReplayPlan plan = PlanFor(*proc_);
-  ASSERT_TRUE(plan.parallel_eligible());
 
   uint64_t mid_ctx = proc_->FindContextOfComponent("mid")->id();
   uint64_t leaf_ctx = proc_->FindContextOfComponent("leaf")->id();
@@ -243,9 +244,7 @@ TEST_F(ReplayPlanTest, SalvagedInteriorGapDemotesOnlyTouchedChains) {
   ReplayPlan plan = PlanForDamaged(*proc_, damaged, stable.base);
   EXPECT_TRUE(plan.salvaged);
   EXPECT_GE(plan.skipped_ranges, 1u);
-  EXPECT_EQ(plan.fallback, PlanFallback::kNone);
-  EXPECT_TRUE(plan.parallel_eligible());
-  EXPECT_GE(plan.eligible_chains(), 2u);
+  EXPECT_GE(plan.chains.size() - plan.demoted_chains, 2u);
   // The demotion count is exactly the chains the eligibility bit excludes.
   size_t ineligible = 0;
   for (const ReplayChain& chain : plan.chains) {
@@ -268,8 +267,6 @@ TEST_F(ReplayPlanTest, SalvagedTornTailDemotesNothing) {
   EXPECT_TRUE(plan.salvaged);
   EXPECT_EQ(plan.demoted_chains, 0u);
   EXPECT_EQ(plan.serialization_edges, 0u);
-  EXPECT_EQ(plan.fallback, PlanFallback::kNone);
-  EXPECT_TRUE(plan.parallel_eligible());
 }
 
 // First record LSN strictly inside (start, end) — some *other* record
@@ -297,34 +294,14 @@ uint64_t FindAnyInteriorLsn(Process& proc, const ReplayPlan& plan) {
   return kInvalidLsn;
 }
 
-TEST_F(ReplayPlanTest, DecimatedLogFallsBackToSequential) {
-  BuildWorkload(sim_.get(), proc_);
-  LogView stable = proc_->log().StableView();
-  ASSERT_GT(stable.bytes->size(), 64u);
-
-  // Smash everything but the first few records: fewer than two chains keep
-  // eligible units, so nothing is left worth overlapping and the salvaged
-  // plan falls back to sequential replay.
-  std::vector<uint8_t> damaged = *stable.bytes;
-  for (size_t i = 32; i < damaged.size(); ++i) {
-    damaged[i] = 0xFF;
-  }
-  ReplayPlan plan = PlanForDamaged(*proc_, damaged, stable.base);
-  EXPECT_TRUE(plan.salvaged);
-  EXPECT_EQ(plan.fallback, PlanFallback::kSalvagedLog);
-  EXPECT_FALSE(plan.parallel_eligible());
-  EXPECT_LT(plan.eligible_chains(), 2u);
-}
-
 TEST_F(ReplayPlanTest, GapInsideUnitExtentDemotesTheChain) {
   BuildWorkload(sim_.get(), proc_);
   LogView stable = proc_->log().StableView();
 
   // Corrupt a record interleaved inside a reply-bearing unit's extent (the
   // callee's record between a Bump's incoming record and its buffered
-  // reply): exactly the owning chain must demote, and with leaf/solo still
-  // eligible the plan stays parallel with serialization edges over the
-  // demoted units.
+  // reply): exactly the owning chain must demote, and leaf/solo stay
+  // eligible.
   ReplayPlan intact = PlanFor(*proc_);
   uint64_t interior = FindAnyInteriorLsn(*proc_, intact);
   ASSERT_NE(interior, kInvalidLsn);
@@ -334,30 +311,10 @@ TEST_F(ReplayPlanTest, GapInsideUnitExtentDemotesTheChain) {
   ReplayPlan plan = PlanForDamaged(*proc_, damaged, stable.base);
   EXPECT_TRUE(plan.salvaged);
   EXPECT_GE(plan.demoted_chains, 1u);
-  EXPECT_EQ(plan.fallback, PlanFallback::kNone);
-  EXPECT_TRUE(plan.parallel_eligible());
-  EXPECT_GE(plan.eligible_chains(), 2u);
+  EXPECT_GE(plan.chains.size() - plan.demoted_chains, 2u);
 }
 
-TEST_F(ReplayPlanTest, TooFewChainsFallsBackToSequential) {
-  // An empty log has nothing to overlap.
-  ReplayPlan empty = PlanFor(*proc_);
-  EXPECT_EQ(empty.fallback, PlanFallback::kTooFewChains);
-
-  // One component is already two chains: the activator's Create calls form
-  // a chain of their own (and its edge orders creation before first call).
-  ExternalClient client(sim_.get(), "alpha");
-  auto only = client.CreateComponent(*proc_, "Counter", "only",
-                                     ComponentKind::kPersistent, {});
-  ASSERT_TRUE(only.ok());
-  ASSERT_TRUE(client.Call(*only, "Add", MakeArgs(1)).ok());
-  ReplayPlan plan = PlanFor(*proc_);
-  EXPECT_EQ(plan.fallback, PlanFallback::kNone);
-  EXPECT_EQ(plan.chains.size(), 2u);
-}
-
-// End-to-end: recovering the same crashed workload with the parallel engine
-// leaves exactly the state sequential replay leaves.
+// End to end: the same crashed workload recovered on one lane and on four.
 int64_t GetCount(Simulation* sim, const std::string& uri) {
   ExternalClient client(sim, "alpha");
   auto value = client.Call(uri, "Get", {});
@@ -365,11 +322,35 @@ int64_t GetCount(Simulation* sim, const std::string& uri) {
   return value.ok() ? value->AsInt() : -1;
 }
 
-std::vector<int64_t> RunCrashRecover(bool parallel,
-                                     bool corrupt_interior = false) {
+// LSNs of the replies `context_id` logged for its outgoing calls, in log
+// order.
+std::vector<uint64_t> ReplyReceivedLsns(Process& proc, uint64_t context_id) {
+  std::vector<uint64_t> lsns;
+  LogView view = proc.log().StableView();
+  LogReader reader(view, proc.log().head_base());
+  while (auto parsed = reader.Next()) {
+    const auto* reply = std::get_if<ReplyReceivedRecord>(&parsed->record);
+    if (reply != nullptr && reply->context_id == context_id) {
+      lsns.push_back(parsed->lsn);
+    }
+  }
+  return lsns;
+}
+
+// Which record of the crashed log bit-rots before recovery.
+enum class Rot {
+  kNone,
+  // A record interleaved inside one of mid's Bump extents.
+  kInterior,
+  // Mid's logged reply from leaf's Add(1), so mid's Bump(1) calls leaf
+  // live while replaying.
+  kCallerReply,
+};
+
+std::vector<int64_t> RunCrashRecover(uint32_t lanes, Rot rot = Rot::kNone) {
   RuntimeOptions options;
-  options.parallel_replay = parallel;
-  options.parallel_replay_sessions = 4;
+  options.parallel_replay = lanes > 1;
+  options.parallel_replay_sessions = lanes;
   SimulationParams params;
   params.seed = 42;
   Simulation sim(options, params);
@@ -378,38 +359,237 @@ std::vector<int64_t> RunCrashRecover(bool parallel,
   Process& proc = alpha.CreateProcess();
   Workload w = BuildWorkload(&sim, &proc);
 
+  uint64_t rotted = kInvalidLsn;
+  if (rot == Rot::kInterior) {
+    // The gap demotes mid's chain while leaf/solo stay parallel-eligible;
+    // every schedule is identically blind to the lost record. (A torn tail
+    // would be amputated by salvage assessment before planning ever sees
+    // it.)
+    rotted = FindAnyInteriorLsn(proc, PlanFor(proc));
+  } else if (rot == Rot::kCallerReply) {
+    std::vector<uint64_t> replies =
+        ReplyReceivedLsns(proc, proc.FindContextOfComponent("mid")->id());
+    if (!replies.empty()) rotted = replies.front();
+  }
   proc.Kill();
-  if (corrupt_interior) {
-    // Bit-rot a record interleaved inside one of mid's Bump extents. The
-    // gap demotes mid's chain while leaf/solo stay parallel-eligible; both
-    // engines are identically blind to the lost record. (A torn tail would
-    // be amputated by salvage assessment before planning ever sees it.)
-    uint64_t interior = FindAnyInteriorLsn(proc, PlanFor(proc));
-    EXPECT_NE(interior, kInvalidLsn);
-    sim.storage().CorruptLog(proc.log_name(), interior + 8,
-                             /*flip_count=*/2);
+  bool corrupt = rot != Rot::kNone;
+  if (corrupt) {
+    EXPECT_NE(rotted, kInvalidLsn);
+    sim.storage().CorruptLog(proc.log_name(), rotted + 8, /*flip_count=*/2);
   }
   EXPECT_TRUE(alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
 
   std::vector<int64_t> state{GetCount(&sim, w.leaf), GetCount(&sim, w.mid),
                              GetCount(&sim, w.solo)};
-  // The parallel run must actually have taken the parallel path.
-  uint64_t chains =
-      sim.metrics().CounterTotal("phoenix.recovery.replay.chains");
-  if (parallel) {
-    EXPECT_GT(chains, 0u);
-  } else {
-    EXPECT_EQ(chains, 0u);
-  }
+  // Both runs replay the plan on the engine, on as many lanes as asked.
+  EXPECT_GT(sim.metrics().CounterTotal("phoenix.recovery.replay.chains"), 0u);
+  EXPECT_EQ(sim.metrics().GaugeTotal("phoenix.recovery.replay.parallelism"),
+            static_cast<double>(lanes));
   EXPECT_EQ(sim.metrics().CounterTotal(
                 "phoenix.recovery.replay.salvaged_parallel"),
-            parallel && corrupt_interior ? 1u : 0u);
-  if (parallel && corrupt_interior) {
+            corrupt ? 1u : 0u);
+  if (rot == Rot::kInterior) {
     EXPECT_GE(sim.metrics().CounterTotal(
                   "phoenix.recovery.replay.chains_demoted"),
               1u);
+  } else if (rot == Rot::kCallerReply) {
+    // The lost record ends mid's extent, so no chain demotes; the live
+    // call is answered as a duplicate.
+    EXPECT_EQ(sim.metrics().CounterTotal(
+                  "phoenix.recovery.replay.chains_demoted"),
+              0u);
+    EXPECT_GE(sim.metrics().CounterTotal("phoenix.intercept.dedupe_hits"),
+              1u);
   }
   return state;
+}
+
+TEST(ParallelReplayTest, EndStateMatchesSequentialReplay) {
+  std::vector<int64_t> one_lane = RunCrashRecover(1);
+  std::vector<int64_t> four_lanes = RunCrashRecover(4);
+  EXPECT_EQ(one_lane, four_lanes);
+  // The workload adds 1+2+3 through mid into leaf, 5+7 into solo.
+  EXPECT_EQ(one_lane, (std::vector<int64_t>{6, 6, 12}));
+}
+
+// The salvage equivalence argument end to end: with an interior gap every
+// schedule loses the same record — leaf's Add(1), which sits inside mid's
+// first Bump — and mid's Bump is answered from its feed, so leaf ends one
+// short whatever the lane count.
+TEST(ParallelReplayTest, SalvagedEndStateMatchesSequentialReplay) {
+  std::vector<int64_t> one_lane = RunCrashRecover(1, Rot::kInterior);
+  std::vector<int64_t> four_lanes = RunCrashRecover(4, Rot::kInterior);
+  EXPECT_EQ(one_lane, four_lanes);
+  EXPECT_EQ(one_lane, (std::vector<int64_t>{5, 6, 12}));
+}
+
+// A complete unit that lost a logged reply goes live in the engine phase:
+// mid's Bump(1) calls leaf's Add(1) again. Leaf's own logged Add(1) waits
+// behind mid's unit in the plan, so the demand flusher replays it before
+// the live call enters, and the live call is answered from the last-call
+// table rather than adding twice.
+TEST(ParallelReplayTest, LostReplyLiveCallFindsItsCalleeReplayed) {
+  for (uint32_t lanes : {1u, 4u}) {
+    SCOPED_TRACE(StrCat(lanes, " lane(s)"));
+    EXPECT_EQ(RunCrashRecover(lanes, Rot::kCallerReply),
+              (std::vector<int64_t>{6, 6, 12}));
+  }
+}
+
+// As above, with the callee's logged unit for the live call its final one:
+// mid logs one more call after Bump(3), and Bump(3)'s reply from leaf's
+// Add(3) rots. The demand flusher replays leaf's final unit before the live
+// call, and the end-of-log flush does not replay it again.
+TEST(ParallelReplayTest, LostReplyLiveCallReplaysTheCalleesFinalUnit) {
+  for (uint32_t lanes : {1u, 4u}) {
+    SCOPED_TRACE(StrCat(lanes, " lane(s)"));
+    RuntimeOptions options;
+    options.parallel_replay = lanes > 1;
+    options.parallel_replay_sessions = lanes;
+    Simulation sim(options);
+    RegisterTestComponents(sim.factories());
+    Machine& alpha = sim.AddMachine("alpha");
+    Process& proc = alpha.CreateProcess();
+    ExternalClient client(&sim, "alpha");
+    auto leaf = client.CreateComponent(proc, "Counter", "leaf",
+                                       ComponentKind::kPersistent, {});
+    auto mid = client.CreateComponent(proc, "Chain", "mid",
+                                      ComponentKind::kPersistent,
+                                      MakeArgs(*leaf));
+    ASSERT_TRUE(leaf.ok() && mid.ok());
+    for (int i = 1; i <= 3; ++i) {
+      ASSERT_TRUE(client.Call(*mid, "Bump", MakeArgs(i)).ok());
+    }
+    ASSERT_TRUE(client.Call(*mid, "SetDownstream", MakeArgs(*leaf)).ok());
+    std::vector<uint64_t> replies =
+        ReplyReceivedLsns(proc, proc.FindContextOfComponent("mid")->id());
+    ASSERT_EQ(replies.size(), 3u);
+    proc.Kill();
+    sim.storage().CorruptLog(proc.log_name(), replies.back() + 8,
+                             /*flip_count=*/2);
+    ASSERT_TRUE(alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
+    EXPECT_GE(sim.metrics().CounterTotal("phoenix.intercept.dedupe_hits"),
+              1u);
+    EXPECT_EQ(GetCount(&sim, *leaf), 6);
+    EXPECT_EQ(GetCount(&sim, *mid), 6);
+  }
+}
+
+// A process whose leaf and mid saved their states before mid's Bumps, with
+// the checkpoint after them: the Bumps lie between the origins and the
+// cut, where pass 1's back-fill reads them, and the activator has no chain.
+struct CutWorkload {
+  std::unique_ptr<Simulation> sim;
+  Process* proc = nullptr;
+  std::string leaf;
+  std::string mid;
+};
+
+CutWorkload BuildCutWorkload(uint32_t lanes) {
+  RuntimeOptions options;
+  options.parallel_replay = lanes > 1;
+  options.parallel_replay_sessions = lanes;
+  CutWorkload w;
+  w.sim = std::make_unique<Simulation>(options);
+  RegisterTestComponents(w.sim->factories());
+  w.proc = &w.sim->AddMachine("alpha").CreateProcess();
+  ExternalClient client(w.sim.get(), "alpha");
+  w.leaf = client
+               .CreateComponent(*w.proc, "Counter", "leaf",
+                                ComponentKind::kPersistent, {})
+               .value();
+  w.mid = client
+              .CreateComponent(*w.proc, "Chain", "mid",
+                               ComponentKind::kPersistent, MakeArgs(w.leaf))
+              .value();
+  for (const char* name : {"leaf", "mid"}) {
+    EXPECT_TRUE(w.proc->checkpoints()
+                    .SaveContextState(*w.proc->FindContextOfComponent(name))
+                    .ok());
+  }
+  for (int i = 1; i <= 3; ++i) {
+    EXPECT_TRUE(client.Call(w.mid, "Bump", MakeArgs(i)).ok());
+  }
+  EXPECT_TRUE(w.proc->checkpoints().TakeProcessCheckpoint().ok());
+  EXPECT_TRUE(client.Call(w.mid, "Bump", MakeArgs(4)).ok());  // publishes
+  return w;
+}
+
+// LSN of the first incoming call `context_id` logged with argument `arg`.
+uint64_t FindIncoming(Process& proc, uint64_t context_id, int64_t arg) {
+  LogView view = proc.log().StableView();
+  LogReader reader(view, proc.log().head_base());
+  while (auto parsed = reader.Next()) {
+    const auto* incoming = std::get_if<IncomingCallRecord>(&parsed->record);
+    if (incoming != nullptr && incoming->context_id == context_id &&
+        !incoming->args.empty() && incoming->args[0].AsInt() == arg) {
+      return parsed->lsn;
+    }
+  }
+  return kInvalidLsn;
+}
+
+TEST(ParallelReplayTest, DecimatedPlanReplaysToTheExpectedState) {
+  // Rot leaf's Add(1), below the cut and inside mid's Bump(1): the
+  // back-fill salvages past it and demotes mid, which leaves leaf the only
+  // eligible chain. The plan still runs, on any lane count: mid's Bumps
+  // replay (Bump(1)'s call answered from its feed), and leaf replays the
+  // Adds that survive.
+  for (uint32_t lanes : {1u, 4u}) {
+    SCOPED_TRACE(StrCat(lanes, " lane(s)"));
+    CutWorkload w = BuildCutWorkload(lanes);
+    uint64_t leaf_ctx = w.proc->FindContextOfComponent("leaf")->id();
+    uint64_t rotted = FindIncoming(*w.proc, leaf_ctx, 1);
+    ASSERT_NE(rotted, kInvalidLsn);
+    w.proc->Kill();
+    w.sim->storage().CorruptLog(w.proc->log_name(), rotted + 8,
+                                /*flip_count=*/2);
+    ASSERT_TRUE(w.proc->machine()
+                    ->recovery_service()
+                    .EnsureProcessAlive(w.proc->pid())
+                    .ok());
+    const obs::MetricsRegistry& m = w.sim->metrics();
+    EXPECT_EQ(m.CounterTotal("phoenix.recovery.replay.chains"), 2u);
+    EXPECT_EQ(m.CounterTotal("phoenix.recovery.replay.chains_demoted"), 1u);
+    EXPECT_EQ(m.CounterTotal("phoenix.recovery.replay.fallbacks"), 0u);
+    EXPECT_EQ(GetCount(w.sim.get(), w.mid), 10);
+    EXPECT_EQ(GetCount(w.sim.get(), w.leaf), 9);
+  }
+}
+
+TEST(ParallelReplayTest, SingleChainPlanReplaysToTheExpectedState) {
+  // Without a checkpoint one component already makes two chains: the
+  // activator's Create calls form a chain of their own.
+  RuntimeOptions options;
+  options.parallel_replay = true;
+  options.parallel_replay_sessions = 4;
+  Simulation sim(options);
+  RegisterTestComponents(sim.factories());
+  Machine& alpha = sim.AddMachine("alpha");
+  Process& proc = alpha.CreateProcess();
+  ExternalClient client(&sim, "alpha");
+  auto only = client.CreateComponent(proc, "Counter", "only",
+                                     ComponentKind::kPersistent, {});
+  ASSERT_TRUE(only.ok());
+  ASSERT_TRUE(client.Call(*only, "Add", MakeArgs(1)).ok());
+  EXPECT_EQ(PlanFor(proc).chains.size(), 2u);
+
+  // Behind a checkpoint its calls are the only chain, and an empty log has
+  // none; both replay on four lanes.
+  ASSERT_TRUE(proc.checkpoints()
+                  .SaveContextState(*proc.FindContextOfComponent("only"))
+                  .ok());
+  ASSERT_TRUE(proc.checkpoints().TakeProcessCheckpoint().ok());
+  for (int i = 2; i <= 4; ++i) {
+    ASSERT_TRUE(client.Call(*only, "Add", MakeArgs(i)).ok());
+  }
+  Process& empty = alpha.CreateProcess();
+  proc.Kill();
+  empty.Kill();
+  ASSERT_TRUE(alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
+  ASSERT_TRUE(alpha.recovery_service().EnsureProcessAlive(empty.pid()).ok());
+  EXPECT_EQ(sim.metrics().CounterTotal("phoenix.recovery.replay.chains"), 1u);
+  EXPECT_EQ(client.Call(*only, "Get", {})->AsInt(), 10);
 }
 
 // Two chains: context 1 with units at orders 1, 3, 5 and context 2 with
@@ -449,26 +629,6 @@ TEST(CriticalPathTest, ReadyTimesHoldChainsBack) {
   EXPECT_DOUBLE_EQ(CriticalPathMs(TwoChainPlan(), 1.0, ready, true), 11.0);
   ready[2] = 0.0;
   EXPECT_DOUBLE_EQ(CriticalPathMs(TwoChainPlan(), 1.0, ready, true), 2.0);
-}
-
-TEST(ParallelReplayTest, EndStateMatchesSequentialReplay) {
-  std::vector<int64_t> sequential = RunCrashRecover(/*parallel=*/false);
-  std::vector<int64_t> parallel = RunCrashRecover(/*parallel=*/true);
-  EXPECT_EQ(sequential, parallel);
-  // Sanity: the workload above adds 1+2+3 through mid into leaf, 5+7 solo.
-  EXPECT_EQ(sequential, (std::vector<int64_t>{6, 6, 12}));
-}
-
-// The salvage-parallel equivalence argument end to end: with an interior
-// gap both engines lose the same record, so the parallel path — which now
-// stays engaged on salvaged logs, serializing only the demoted chain —
-// must land on the sequential state.
-TEST(ParallelReplayTest, SalvagedEndStateMatchesSequentialReplay) {
-  std::vector<int64_t> sequential =
-      RunCrashRecover(/*parallel=*/false, /*corrupt_interior=*/true);
-  std::vector<int64_t> parallel =
-      RunCrashRecover(/*parallel=*/true, /*corrupt_interior=*/true);
-  EXPECT_EQ(sequential, parallel);
 }
 
 }  // namespace

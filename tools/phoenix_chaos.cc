@@ -4,7 +4,8 @@
 // optimization level x topology x store count and placement (with the
 // seller, or in their own process) x save/checkpoint cadence x
 // wave width (with or without group commit) x WAL shard count x async
-// checkpointing x parallel replay. Each fault domain is an arm that adds
+// checkpointing x parallel replay x the §3.5 multi-call optimization. Each
+// fault domain is an arm that adds
 // its own draws on top of that point:
 //
 //   crash     0-4 triggers at any protocol point 0-8 on the seller's
@@ -172,6 +173,7 @@ struct RunConfig {
   bool async_checkpoint = false;
   uint32_t async_interval = 8;
   bool parallel_replay = false;
+  bool multi_call = false;
   // Crash arm.
   std::vector<Trigger> crashes;
   // Network arm.
@@ -213,6 +215,7 @@ enum class Stream : uint64_t {
   kStorageArm,
   kSweepArm,
   kRecoveryArm,
+  kMultiCall,
 };
 
 Random StreamRng(uint64_t seed, int run, Stream stream) {
@@ -287,6 +290,7 @@ RunConfig MakeRunConfig(const CampaignOptions& campaign, int run) {
   uint32_t shards = kShardChoices[rng(Stream::kShards).Uniform(3)];
   cfg.wal_shards = campaign.wal_shards > 0 ? campaign.wal_shards : shards;
   cfg.parallel_replay = rng(Stream::kReplay).Bernoulli(0.4);
+  cfg.multi_call = rng(Stream::kMultiCall).Bernoulli(0.5);
 
   // Crash arm. The state-save, checkpoint and group-flush points are
   // reached far less often than the protocol hooks, so they get short
@@ -367,6 +371,7 @@ std::vector<std::string> Tags(const RunConfig& cfg) {
              cfg.async_checkpoint ? StrCat("interval", cfg.async_interval)
                                   : std::string("off")),
       StrCat("parallel_replay.", cfg.parallel_replay ? "on" : "off"),
+      StrCat("multicall.", cfg.multi_call ? "on" : "off"),
   };
   bool any_arm = false;
   auto arm = [&](const char* name, bool on) {
@@ -559,6 +564,7 @@ RunResult RunOne(const RunConfig& cfg, int run, int sessions, Tally& tally) {
   runtime.async_checkpoint = cfg.async_checkpoint;
   runtime.async_checkpoint_interval = cfg.async_interval;
   runtime.parallel_replay = cfg.parallel_replay;
+  runtime.multi_call_optimization = cfg.multi_call;
   runtime.inject_failures_during_recovery = cfg.recovery_arm;
 
   SimulationParams params;
@@ -866,7 +872,8 @@ int RunCampaign(const CampaignOptions& campaign) {
       "chaos campaign: %llu run(s), %llu violation(s), %llu WoV duplicate "
       "execution(s)\n"
       "  product: %llu overlapping (%llu group commit), wal shards %s, "
-      "%llu async checkpoint, %llu parallel replay, %llu fault-free\n"
+      "%llu async checkpoint, %llu parallel replay, multicall on %llu / "
+      "off %llu, %llu fault-free\n"
       "  arms: crash %llu, network %llu, storage %llu, sweep %llu, "
       "recovery %llu run(s)\n"
       "  faults: %llu crash(es), %llu recover(ies), %llu dropped, "
@@ -884,8 +891,9 @@ int RunCampaign(const CampaignOptions& campaign) {
       n("runs") - runs("wave.1"), runs("group_commit.on"),
       family("wal_shards.").c_str(),
       n("runs") - runs("async_checkpoint.off"), runs("parallel_replay.on"),
-      runs("fault_free"), runs("arm.crash"), runs("arm.network"),
-      runs("arm.storage"), runs("arm.sweep"), runs("arm.recovery"),
+      runs("multicall.on"), runs("multicall.off"), runs("fault_free"),
+      runs("arm.crash"), runs("arm.network"), runs("arm.storage"),
+      runs("arm.sweep"), runs("arm.recovery"),
       n("crashes_fired"), n("recoveries"), n("net_messages_dropped"),
       n("net_messages_duplicated"), n("torn_tails_injected"),
       n("storage_attack_runs"), n("crashes_at.during_state_save"),

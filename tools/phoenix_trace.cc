@@ -295,7 +295,7 @@ int Run(const Options& opts) {
   if (opts.dump_log) {
     LogAnnotations annotations;
     if (opts.plan) {
-      // Build the same plan the parallel replayer would build for a crash
+      // Build the same plan the replay engine would run for a crash
       // right now, and pin its chain/edge view to the records that open
       // replay units. On a sharded log those are composite LSNs, so the
       // annotations land on the matching per-shard lines.
@@ -315,20 +315,14 @@ int Run(const Options& opts) {
           annotations[unit.replay.start_lsn] = std::move(note);
         }
       }
-      std::string fallback_note =
-          plan.fallback == PlanFallback::kNone
-              ? std::string()
-              : StrCat("  (sequential fallback: ",
-                       PlanFallbackName(plan.fallback), ")");
       double unit_ms = proc.simulation()->costs().recovery_replay_call_ms;
       std::printf(
           "\nreplay plan: %zu chain(s), %llu cross edge(s), "
-          "critical path %.2f ms of %.2f ms total%s\n",
+          "critical path %.2f ms of %.2f ms total\n",
           plan.chains.size(),
           static_cast<unsigned long long>(plan.cross_edges),
           CriticalPathMs(plan, unit_ms, /*ready_ms=*/{}, /*lanes_only=*/false),
-          static_cast<double>(plan.total_units()) * unit_ms,
-          fallback_note.c_str());
+          static_cast<double>(plan.total_units()) * unit_ms);
     }
     if (proc.log().sharded()) {
       std::printf("\nsharded recovery log of %s (%u shard(s)):\n",
