@@ -5,8 +5,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <functional>
+#include <vector>
+
 #include "bench/bench_components.h"
 #include "obs/bench_reporter.h"
+#include "runtime/session.h"
 #include "runtime/simulation.h"
 #include "common/crc32c.h"
 #include "common/strings.h"
@@ -76,6 +81,34 @@ void BM_DiskModelWrite(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiskModelWrite);
+
+// Host cost of one session park and resume: 4 sessions each park N times
+// on a predicate that already holds, so every park is one switch to the
+// scheduler and one back. `ns_per_park` is the wall time per round trip,
+// stack set-up included.
+void BM_SessionParkResume(benchmark::State& state) {
+  constexpr int kSessions = 4;
+  const int64_t parks = state.range(0);
+  auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    SessionScheduler scheduler(7);
+    std::vector<std::function<void()>> bodies;
+    for (int s = 0; s < kSessions; ++s) {
+      bodies.push_back([&scheduler, parks] {
+        for (int64_t k = 0; k < parks; ++k) {
+          scheduler.ParkUntil([] { return true; });
+        }
+      });
+    }
+    scheduler.Run(std::move(bodies));
+  }
+  std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  int64_t total = state.iterations() * kSessions * parks;
+  state.SetItemsProcessed(total);
+  state.counters["ns_per_park"] = elapsed.count() / static_cast<double>(total);
+}
+BENCHMARK(BM_SessionParkResume)->Arg(1000);
 
 void BM_SimulatedPersistentCall(benchmark::State& state) {
   Simulation sim;

@@ -54,12 +54,11 @@ Status Bookstore::Initialize(const ArgList& args) {
   for (char c : label_) price_seed += c;
   for (int64_t i = 0; i < static_cast<int64_t>(kTopics.size()); ++i) {
     Value::List entry;
-    entry.push_back(Value(i + 1));
-    entry.push_back(
-        Value(StrCat("The ", kTopics[i], " book (", label_, " ed.)")));
-    entry.push_back(Value(static_cast<double>((price_seed + 13 * i) % 40 + 10)));
-    entry.push_back(Value(int64_t{25}));
-    catalog.push_back(Value(std::move(entry)));
+    entry.emplace_back(i + 1);
+    entry.emplace_back(StrCat("The ", kTopics[i], " book (", label_, " ed.)"));
+    entry.emplace_back(static_cast<double>((price_seed + 13 * i) % 40 + 10));
+    entry.emplace_back(int64_t{25});
+    catalog.emplace_back(std::move(entry));
   }
   catalog_ = Value(std::move(catalog));
   return Status::OK();

@@ -13,7 +13,7 @@ namespace phoenix {
 template <typename... Args>
 std::string StrCat(const Args&... args) {
   std::ostringstream oss;
-  (oss << ... << args);
+  ((oss << args), ...);
   return oss.str();
 }
 

@@ -82,7 +82,7 @@ class RecoveryLanes {
 // Among ready units the one that can start earliest pops first, ties by
 // replay order; on one lane every unit can start at once, so the schedule
 // is ascending replay order, which the plan's edges always respect. Which
-// session thread happens to execute a unit does not enter the timing
+// session happens to execute a unit does not enter the timing
 // model; the session interleaving decides only the (dependency-legal)
 // execution order.
 //

@@ -202,7 +202,7 @@ class Process {
   // `shard`, so its next WaitDurable only forces the shards it touched.
   void NoteShardAppend(uint32_t shard);
   // Key of the executing chain in chain_touched_shards_: the session index
-  // under a scheduler, -1 on the driver thread.
+  // under a scheduler, -1 off sessions.
   int CurrentChainKey() const;
 
   Machine* machine_;
@@ -210,7 +210,7 @@ class Process {
   bool alive_ = false;
   bool recovering_ = false;
   // The scheduler and chain running the current recovery (nullptr when it
-  // runs off any session, e.g. on the driver thread).
+  // runs off any session).
   SessionScheduler* recovery_scheduler_ = nullptr;
   int recovery_chain_ = -1;
   bool async_checkpoint_active_ = false;

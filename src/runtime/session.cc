@@ -1,21 +1,72 @@
 #include "runtime/session.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/macros.h"
+#include "common/strings.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define PHX_SESSION_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PHX_SESSION_ASAN 1
+#endif
+#endif
+
+#ifdef PHX_SESSION_ASAN
+#include <dlfcn.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace phoenix {
 namespace {
 
-// The session the calling thread is executing, if any. Session bodies run
-// strictly one at a time, so this is only ever read by its own thread or
-// while that thread is parked.
-thread_local SessionScheduler::Session* tls_session = nullptr;
+// A session's usable stack, as large as a new thread's default stack. It
+// is reserved, not committed, so a chain costs only the pages it touches.
+constexpr size_t kStackBytes = size_t{8} << 20;
+
+// ASan follows one stack per thread unless every switch names the stack
+// that comes next (StartSwitch) and, once there, learns the one it left
+// (FinishSwitch). A null `fake_stack` in StartSwitch marks the last switch
+// off a stack. Without ASan these do nothing.
+#ifdef PHX_SESSION_ASAN
+void StartSwitch(void** fake_stack, const void* bottom, size_t size) {
+  __sanitizer_start_switch_fiber(fake_stack, bottom, size);
+}
+void FinishSwitch(void* fake_stack, const void** bottom, size_t* size) {
+  __sanitizer_finish_switch_fiber(fake_stack, bottom, size);
+}
+// ASan's swapcontext interceptor warns, once per process, that it cannot
+// follow ucontext stacks by itself, and wipes the shadow of the stack it
+// switches to. The annotations above already tell it about every stack,
+// so switch with glibc's own swapcontext.
+int SwapContext(ucontext_t* from, const ucontext_t* to) {
+  using Fn = int (*)(ucontext_t*, const ucontext_t*);
+  static const Fn libc_swapcontext = reinterpret_cast<Fn>(
+      dlsym(dlopen("libc.so.6", RTLD_NOW | RTLD_NOLOAD), "swapcontext"));
+  PHX_CHECK(libc_swapcontext != nullptr);
+  return libc_swapcontext(from, to);
+}
+#else
+void StartSwitch(void**, const void*, size_t) {}
+void FinishSwitch(void*, const void**, size_t*) {}
+int SwapContext(ucontext_t* from, const ucontext_t* to) {
+  return swapcontext(from, to);
+}
+#endif
 
 }  // namespace
 
+SessionScheduler::SessionScheduler(uint64_t seed)
+    : rng_(seed), page_bytes_(static_cast<size_t>(sysconf(_SC_PAGESIZE))) {}
+
 SessionScheduler::~SessionScheduler() {
-  // Run() joins everything; nothing to do unless Run was never called.
+  // Run() releases everything; nothing to do unless Run was never called.
   PHX_CHECK(sessions_.empty());
 }
 
@@ -63,138 +114,176 @@ bool SessionScheduler::TryGroupFlush() {
   return true;
 }
 
-void SessionScheduler::SessionMain(Session* s) {
-  tls_session = s;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    s->cv.wait(lock, [s] { return s->state == Session::State::kRunning; });
-  }
+void SessionScheduler::SessionMain(uint32_t self_hi, uint32_t self_lo) {
+  auto* self = reinterpret_cast<SessionScheduler*>(
+      (static_cast<uintptr_t>(self_hi) << 32) | self_lo);
+  Session* s = self->current_;
+  FinishSwitch(nullptr, &self->scheduler_stack_bottom_,
+               &self->scheduler_stack_size_);
   s->body();
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    s->state = Session::State::kDone;
+  s->state = Session::State::kDone;
+  // The last switch off this stack; nothing resumes it.
+  StartSwitch(nullptr, self->scheduler_stack_bottom_,
+              self->scheduler_stack_size_);
+  SwapContext(&s->context, &self->scheduler_context_);
+}
+
+void SessionScheduler::Resume(Session* s) {
+  s->state = Session::State::kRunning;
+  s->wait_pipeline = nullptr;
+  s->ready_pred = nullptr;
+  current_ = s;
+  void* fake_stack = nullptr;
+  StartSwitch(&fake_stack, s->stack, kStackBytes);
+  PHX_CHECK(SwapContext(&scheduler_context_, &s->context) == 0);
+  FinishSwitch(fake_stack, nullptr, nullptr);
+  current_ = nullptr;
+}
+
+void SessionScheduler::Park(Session* s) {
+  s->state = Session::State::kParked;
+  void* fake_stack = nullptr;
+  StartSwitch(&fake_stack, scheduler_stack_bottom_, scheduler_stack_size_);
+  PHX_CHECK(SwapContext(&s->context, &scheduler_context_) == 0);
+  FinishSwitch(fake_stack, &scheduler_stack_bottom_, &scheduler_stack_size_);
+}
+
+std::string SessionScheduler::DeadlockReport() const {
+  static const char* const kStateNames[] = {"ready", "running", "parked",
+                                            "done"};
+  std::string report;
+  for (const auto& up : sessions_) {
+    const Session& s = *up;
+    report += StrCat("  session ", s.index, ": ",
+                     kStateNames[static_cast<int>(s.state)]);
+    if (s.state == Session::State::kParked) {
+      report += s.wait_pipeline != nullptr
+                    ? StrCat(" on shard ", s.wait_pipeline->shard_id(),
+                             " until lsn ", s.wait_lsn)
+                    : std::string(" on predicate");
+    }
+    report += "\n";
   }
-  sched_cv_.notify_one();
+  return report;
 }
 
 void SessionScheduler::Run(std::vector<std::function<void()>> bodies) {
-  PHX_CHECK(tls_session == nullptr);  // no nesting
+  PHX_CHECK(current_ == nullptr && "Run called from inside a session");
   PHX_CHECK(sessions_.empty());
   if (bodies.empty()) return;
   sessions_.reserve(bodies.size());
+  auto self = reinterpret_cast<uintptr_t>(this);
   for (size_t i = 0; i < bodies.size(); ++i) {
     auto s = std::make_unique<Session>();
     s->index = static_cast<int>(i);
-    s->owner = this;
     s->body = std::move(bodies[i]);
+    void* map = mmap(nullptr, page_bytes_ + kStackBytes,
+                     PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                     -1, 0);
+    PHX_CHECK(map != MAP_FAILED && "cannot map a session stack");
+    // The guard page: an overflow faults instead of running into the
+    // next mapping.
+    PHX_CHECK(mprotect(map, page_bytes_, PROT_NONE) == 0);
+    s->stack = static_cast<char*>(map) + page_bytes_;
+    PHX_CHECK(getcontext(&s->context) == 0);
+    s->context.uc_stack.ss_sp = s->stack;
+    s->context.uc_stack.ss_size = kStackBytes;
+    s->context.uc_link = nullptr;
+    makecontext(&s->context, reinterpret_cast<void (*)()>(&SessionMain), 2,
+                static_cast<uint32_t>(self >> 32),
+                static_cast<uint32_t>(self));
     sessions_.push_back(std::move(s));
   }
-  for (auto& s : sessions_) {
-    s->thread = std::thread([this, sp = s.get()] { SessionMain(sp); });
-  }
 
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-      std::vector<Session*> ready;
-      size_t done = 0;
-      for (auto& up : sessions_) {
-        Session* s = up.get();
-        switch (s->state) {
-          case Session::State::kDone:
-            ++done;
-            break;
-          case Session::State::kReady:
-            ready.push_back(s);
-            break;
-          case Session::State::kParked:
-            if (ParkSatisfied(*s)) ready.push_back(s);
-            break;
-          case Session::State::kRunning:
-            PHX_CHECK(false && "scheduler saw a running session");
-        }
-      }
-      if (done == sessions_.size()) break;
-      if (ready.empty()) {
-        // Everyone is stalled. If any chain is stalled on durability this
-        // is the group-commit harvest point; otherwise the workload
-        // deadlocked (e.g. two sessions parked on each other's contexts).
-        PHX_CHECK(TryGroupFlush() && "session deadlock: no runnable session");
-        continue;
-      }
-      // Max-wait policy: a pipeline whose oldest parked waiter has sat past
-      // its bound is flushed now, even though runnable sessions remain —
-      // bounding the latency a chain trades for a bigger batch. First
-      // overdue waiter in session-index order picks the pipeline, so ties
-      // resolve deterministically.
-      CommitPipeline* overdue = nullptr;
-      for (auto& up : sessions_) {
-        Session* s = up.get();
-        if (s->state != Session::State::kParked ||
-            s->wait_pipeline == nullptr || ParkSatisfied(*s)) {
-          continue;
-        }
-        double bound = s->wait_pipeline->group_commit_max_wait_ms();
-        if (bound > 0.0 &&
-            s->wait_pipeline->NowMs() - s->wait_since_ms >= bound) {
-          overdue = s->wait_pipeline;
+  while (true) {
+    std::vector<Session*> ready;
+    size_t done = 0;
+    for (auto& up : sessions_) {
+      Session* s = up.get();
+      switch (s->state) {
+        case Session::State::kDone:
+          ++done;
           break;
-        }
+        case Session::State::kReady:
+          ready.push_back(s);
+          break;
+        case Session::State::kParked:
+          if (ParkSatisfied(*s)) ready.push_back(s);
+          break;
+        case Session::State::kRunning:
+          PHX_CHECK(false && "scheduler saw a running session");
       }
-      if (overdue != nullptr) {
-        size_t batch = 0;
-        for (auto& up : sessions_) {
-          Session* s = up.get();
-          if (s->state == Session::State::kParked &&
-              s->wait_pipeline == overdue && !ParkSatisfied(*s)) {
-            ++batch;
-          }
-        }
-        overdue->GroupFlush(batch);
+    }
+    if (done == sessions_.size()) break;
+    if (ready.empty()) {
+      // Everyone is stalled. If any chain is stalled on durability this
+      // is the group-commit harvest point; otherwise the workload
+      // deadlocked (e.g. two sessions parked on each other's contexts).
+      if (!TryGroupFlush()) {
+        std::fprintf(stderr,
+                     "session deadlock: no session is runnable and none "
+                     "waits on durability\n%s",
+                     DeadlockReport().c_str());
+        std::abort();
+      }
+      continue;
+    }
+    // Max-wait policy: a pipeline whose oldest parked waiter has sat past
+    // its bound is flushed now, even though runnable sessions remain —
+    // bounding the latency a chain trades for a bigger batch. First
+    // overdue waiter in session-index order picks the pipeline, so ties
+    // resolve deterministically.
+    CommitPipeline* overdue = nullptr;
+    for (auto& up : sessions_) {
+      Session* s = up.get();
+      if (s->state != Session::State::kParked ||
+          s->wait_pipeline == nullptr || ParkSatisfied(*s)) {
         continue;
       }
-      Session* next =
-          ready.size() == 1
-              ? ready.front()
-              : ready[static_cast<size_t>(rng_.Uniform(ready.size()))];
-      next->state = Session::State::kRunning;
-      next->wait_pipeline = nullptr;
-      next->ready_pred = nullptr;
-      next->cv.notify_one();
-      sched_cv_.wait(lock, [next] {
-        return next->state != Session::State::kRunning;
-      });
+      double bound = s->wait_pipeline->group_commit_max_wait_ms();
+      if (bound > 0.0 &&
+          s->wait_pipeline->NowMs() - s->wait_since_ms >= bound) {
+        overdue = s->wait_pipeline;
+        break;
+      }
     }
+    if (overdue != nullptr) {
+      size_t batch = 0;
+      for (auto& up : sessions_) {
+        Session* s = up.get();
+        if (s->state == Session::State::kParked &&
+            s->wait_pipeline == overdue && !ParkSatisfied(*s)) {
+          ++batch;
+        }
+      }
+      overdue->GroupFlush(batch);
+      continue;
+    }
+    Resume(ready.size() == 1
+               ? ready.front()
+               : ready[static_cast<size_t>(rng_.Uniform(ready.size()))]);
   }
 
-  for (auto& s : sessions_) s->thread.join();
+  for (auto& s : sessions_) {
+    PHX_CHECK(munmap(s->stack - page_bytes_, page_bytes_ + kStackBytes) == 0);
+  }
   sessions_.clear();
-}
-
-void SessionScheduler::ParkLocked(std::unique_lock<std::mutex>& lock,
-                                  Session* s) {
-  s->state = Session::State::kParked;
-  sched_cv_.notify_one();
-  s->cv.wait(lock, [s] { return s->state == Session::State::kRunning; });
 }
 
 bool SessionScheduler::ParkUntilDurable(CommitPipeline* pipeline,
                                         uint64_t lsn) {
-  Session* s = tls_session;
-  if (s == nullptr || s->owner != this) return false;
-  std::unique_lock<std::mutex> lock(mu_);
+  Session* s = current_;
+  if (s == nullptr) return false;
   s->wait_pipeline = pipeline;
   s->wait_lsn = lsn;
   s->wait_epoch = pipeline->abort_epoch();
   s->wait_since_ms = pipeline->NowMs();
-  ParkLocked(lock, s);
+  Park(s);
   return true;
 }
 
 size_t SessionScheduler::ParkedWaiters(const CommitPipeline* pipeline) const {
-  // Called from a running session (inside WaitDurable); every other session
-  // is quiesced, so their park records are stable under the lock.
-  std::unique_lock<std::mutex> lock(mu_);
   size_t n = 0;
   for (const auto& up : sessions_) {
     const Session& s = *up;
@@ -206,27 +295,23 @@ size_t SessionScheduler::ParkedWaiters(const CommitPipeline* pipeline) const {
 }
 
 bool SessionScheduler::ParkUntil(std::function<bool()> ready) {
-  Session* s = tls_session;
-  if (s == nullptr || s->owner != this) return false;
-  std::unique_lock<std::mutex> lock(mu_);
+  Session* s = current_;
+  if (s == nullptr) return false;
   s->ready_pred = std::move(ready);
-  ParkLocked(lock, s);
+  Park(s);
   return true;
 }
 
 int SessionScheduler::current_session() const {
-  Session* s = tls_session;
-  return (s != nullptr && s->owner == this) ? s->index : -1;
+  return current_ != nullptr ? current_->index : -1;
 }
 
 std::vector<Context*>* SessionScheduler::current_context_stack() {
-  Session* s = tls_session;
-  return (s != nullptr && s->owner == this) ? &s->context_stack : nullptr;
+  return current_ != nullptr ? &current_->context_stack : nullptr;
 }
 
 std::vector<obs::SpanLink>* SessionScheduler::current_trace_stack() {
-  Session* s = tls_session;
-  return (s != nullptr && s->owner == this) ? &s->trace_stack : nullptr;
+  return current_ != nullptr ? &current_->trace_stack : nullptr;
 }
 
 }  // namespace phoenix

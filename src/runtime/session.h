@@ -1,12 +1,12 @@
 #ifndef PHOENIX_RUNTIME_SESSION_H_
 #define PHOENIX_RUNTIME_SESSION_H_
 
-#include <condition_variable>
+#include <ucontext.h>
+
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -21,9 +21,10 @@ class Context;
 //
 // The simulator's call model is depth-first C++ recursion: one chain of
 // nested RouteCall frames. To give group commit concurrency to harvest
-// without giving up determinism, the scheduler runs N session bodies on
-// real threads but passes a single baton — exactly one thread executes at
-// any instant, and the only yield points are explicit parks:
+// without giving up determinism, the scheduler runs N session bodies as
+// stackful coroutines (ucontext) on the thread that calls Run. Exactly one
+// of them executes at any instant, and the only yield points are explicit
+// parks, each a switch back to the scheduler's context:
 //
 //  - ParkUntilDurable: a chain reached a durability wait (WaitDurable with
 //    group commit on) and suspends until the pipeline's durable horizon
@@ -36,24 +37,26 @@ class Context;
 // pipeline with the most parked waiters, satisfying the whole batch with
 // one disk write, and wakes them.
 //
-// Determinism: one runnable thread at a time, parks only at fixed program
+// Determinism: one session runs at a time, parks only at fixed program
 // points, and the choice among ready sessions drawn from a seeded PRNG —
 // so a given (seed, workload) always produces the same interleaving, the
 // same batches, and byte-identical metrics.
 class SessionScheduler : public CommitPipeline::Scheduler {
  public:
-  explicit SessionScheduler(uint64_t seed) : rng_(seed) {}
+  explicit SessionScheduler(uint64_t seed);
   ~SessionScheduler() override;
 
   SessionScheduler(const SessionScheduler&) = delete;
   SessionScheduler& operator=(const SessionScheduler&) = delete;
 
-  // Runs every body to completion, interleaving at park points. Blocking;
-  // must be called from the driver thread (not from inside a session).
+  // Runs every body to completion, interleaving at park points. Each body
+  // gets an 8 MB stack (reserved, backed only as it is touched) with a
+  // guard page below it; the stacks are unmapped before Run returns. Must
+  // not be called from inside one of this scheduler's sessions.
   void Run(std::vector<std::function<void()>> bodies);
 
-  // CommitPipeline::Scheduler. Returns false when the calling thread is
-  // not one of this scheduler's sessions (the caller then flushes inline).
+  // CommitPipeline::Scheduler. Returns false when the caller is not one of
+  // this scheduler's sessions (the caller then flushes inline).
   bool ParkUntilDurable(CommitPipeline* pipeline, uint64_t lsn) override;
 
   // Sessions currently parked on `pipeline`'s durability — the max-batch
@@ -61,31 +64,29 @@ class SessionScheduler : public CommitPipeline::Scheduler {
   size_t ParkedWaiters(const CommitPipeline* pipeline) const override;
 
   // Suspends the calling session until `ready()` holds. Returns false (and
-  // does nothing) off session threads. The predicate is evaluated by the
-  // scheduler while all sessions are quiesced, so it may read any
-  // simulation state without synchronization.
+  // does nothing) off sessions. The predicate is evaluated on the
+  // scheduler's context while every session is suspended, so it may read
+  // any simulation state; current_session() is -1 inside it.
   bool ParkUntil(std::function<bool()> ready);
 
-  // Index of the session the calling thread is running, or -1.
+  // Index of the session that is running, or -1 off sessions.
   int current_session() const;
 
-  // The calling session's execution-context stack, or nullptr off session
-  // threads. Simulation::PushContext/PopContext delegate here so each
+  // The running session's execution-context stack, or nullptr off
+  // sessions. Simulation::PushContext/PopContext delegate here so each
   // chain tracks its own nesting.
   std::vector<Context*>* current_context_stack();
 
-  // The calling session's trace-span stack (the chain's current causal
-  // position, obs::SpanLink), or nullptr off session threads.
+  // The running session's trace-span stack (the chain's current causal
+  // position, obs::SpanLink), or nullptr off sessions.
   std::vector<obs::SpanLink>* current_trace_stack();
 
-  // Internal per-chain bookkeeping; public only so the thread-local
-  // current-session pointer in session.cc can name the type.
+ private:
   struct Session {
     int index = 0;
-    SessionScheduler* owner = nullptr;
     std::function<void()> body;
-    std::thread thread;
-    std::condition_variable cv;
+    ucontext_t context{};
+    char* stack = nullptr;  // lowest usable byte; the guard page is below
     enum class State { kReady, kRunning, kParked, kDone };
     State state = State::kReady;
     // Exactly one of these describes a park: a durability wait...
@@ -99,18 +100,28 @@ class SessionScheduler : public CommitPipeline::Scheduler {
     std::vector<obs::SpanLink> trace_stack;
   };
 
- private:
   static bool ParkSatisfied(const Session& s);
   // Picks the pipeline with the most parked durability waiters and batch-
   // flushes it. Returns false when nobody is parked on durability.
   bool TryGroupFlush();
-  void SessionMain(Session* s);
-  // Parks the calling session (already holding mu_) until rescheduled.
-  void ParkLocked(std::unique_lock<std::mutex>& lock, Session* s);
+  // Every session's index, state and wait, one line each.
+  std::string DeadlockReport() const;
+  // makecontext entry point: `this`, split into two 32-bit halves.
+  static void SessionMain(uint32_t self_hi, uint32_t self_lo);
+  // Scheduler side: runs `s` until it parks or finishes.
+  void Resume(Session* s);
+  // Session side: marks `s` parked and switches to the scheduler; returns
+  // once the scheduler resumes `s`.
+  void Park(Session* s);
 
   Random rng_;
-  mutable std::mutex mu_;
-  std::condition_variable sched_cv_;
+  size_t page_bytes_;
+  ucontext_t scheduler_context_{};
+  // Where the scheduler's own stack lies, as ASan reports it on the first
+  // switch into a session; handed back on every switch out of one.
+  const void* scheduler_stack_bottom_ = nullptr;
+  size_t scheduler_stack_size_ = 0;
+  Session* current_ = nullptr;  // the running session, nullptr otherwise
   std::vector<std::unique_ptr<Session>> sessions_;
 };
 

@@ -159,8 +159,8 @@ class Simulation : public obs::TraceScope {
                          const std::string& method, NetLeg leg,
                          obs::SpanLink link);
 
-  // The calling chain's context stack: the session's own stack on session
-  // threads, the driver stack otherwise.
+  // The calling chain's context stack: the session's own stack inside a
+  // session, the simulation's own stack otherwise.
   std::vector<Context*>& CurrentContextStack();
   const std::vector<Context*>& CurrentContextStack() const;
   std::vector<obs::SpanLink>& CurrentTraceStack();

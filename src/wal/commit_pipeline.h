@@ -50,7 +50,7 @@ class CommitPipeline {
     virtual bool ParkUntilDurable(CommitPipeline* pipeline, uint64_t lsn) = 0;
     // Sessions currently parked on `pipeline`'s durability (the batch a
     // flush right now would satisfy, excluding the caller).
-    virtual size_t ParkedWaiters(const CommitPipeline* pipeline) const {
+    virtual size_t ParkedWaiters(const CommitPipeline* /*pipeline*/) const {
       return 0;
     }
   };

@@ -111,7 +111,9 @@ TEST_F(ContextFailureTest, UnforcedTailSurvivesContextFailure) {
     ASSERT_FALSE(proc_->log().IsStable(ctx->state_record_lsn()));
     // On 4 shards the context routes to shard 2, so its origin lives only
     // in a non-meta shard's buffer.
-    if (shards == 4) EXPECT_NE(ShardOfLsn(ctx->state_record_lsn()), 0u);
+    if (shards == 4) {
+      EXPECT_NE(ShardOfLsn(ctx->state_record_lsn()), 0u);
+    }
 
     int executions = ExecutionLog::Of("c.Add");
     ctx->ClearMembers();

@@ -217,7 +217,7 @@ TEST_F(LogTruncationTest, ForceMarksTrimWithTheHead) {
         ASSERT_TRUE(
             client.Call(uris[i % uris.size()], "Add", MakeArgs(1)).ok());
       }
-      for (const std::string& name : {"c0", "c1", "c2"}) {
+      for (const char* name : {"c0", "c1", "c2"}) {
         ASSERT_TRUE(proc_->checkpoints()
                         .SaveContextState(*proc_->FindContextOfComponent(name))
                         .ok());

@@ -20,7 +20,7 @@
 //
 // Example (the CI sentinel):
 //   bench/table7_recovery --out-dir=sentinel_out && ... all benches ...
-//   phoenix_benchdiff --baseline=../bench/baselines --candidate=sentinel_out \
+//   phoenix_benchdiff --baseline=../bench/baselines --candidate=sentinel_out
 //       --slo=../bench/slo.json --md=benchdiff.md --json=benchdiff.json
 
 #include <cstdio>
