@@ -1,9 +1,11 @@
 #include "recovery/parallel_replay.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 
 #include "common/macros.h"
+#include "common/strings.h"
 #include "runtime/process.h"
 #include "runtime/session.h"
 #include "runtime/simulation.h"
@@ -67,61 +69,55 @@ ParallelReplayEngine::ParallelReplayEngine(Process* process, ReplayPlan* plan,
 
 void ParallelReplayEngine::BuildTasks(
     const std::map<uint64_t, double>& context_ready_ms) {
-  // Every unit but each chain's last is schedulable here; finals go to the
-  // caller's end-of-log flush.
-  std::map<UnitRef, size_t> task_of;
-  size_t schedulable = 0;
-  for (const ReplayChain& chain : plan_->chains) {
-    if (!chain.units.empty()) schedulable += chain.units.size() - 1;
-  }
-  tasks_.reserve(schedulable);
+  tasks_.reserve(plan_->total_units());
   chain_first_task_.assign(plan_->chains.size(), 0);
-  final_replayed_.assign(plan_->chains.size(), false);
+  chain_tasks_left_.assign(plan_->chains.size(), 0);
+  chain_spans_.resize(plan_->chains.size());
   for (uint32_t c = 0; c < plan_->chains.size(); ++c) {
     const ReplayChain& chain = plan_->chains[c];
     chain_of_context_[chain.context_id] = c;
     chain_first_task_[c] = tasks_.size();
-    if (chain.units.size() < 2) continue;
     auto ready = context_ready_ms.find(chain.context_id);
-    for (uint32_t u = 0; u + 1 < chain.units.size(); ++u) {
+    for (uint32_t u = 0; u < chain.units.size(); ++u) {
       Task task;
       task.context_id = chain.context_id;
       task.order = chain.units[u].replay.order;
       task.ref = UnitRef{c, u};
+      task.final = u + 1 == chain.units.size();
       task.ready_ms = ready != context_ready_ms.end() ? ready->second
                                                       : lanes_->start_ms();
-      task_of[UnitRef{c, u}] = tasks_.size();
+      if (task.final) {
+        finals_.push_back(tasks_.size());
+      } else {
+        ++chain_tasks_left_[c];
+      }
       tasks_.push_back(std::move(task));
     }
   }
-  chain_tasks_left_.assign(plan_->chains.size(), 0);
-  chain_spans_.resize(plan_->chains.size());
+  std::sort(finals_.begin(), finals_.end(), [this](size_t a, size_t b) {
+    return tasks_[a].order < tasks_[b].order;
+  });
 
-  for (auto& [ref, t] : task_of) {
-    Task& task = tasks_[t];
-    ++chain_tasks_left_[ref.chain];
-    // Chain order is itself a dependency.
-    if (ref.index > 0) {
-      auto prev = task_of.find(UnitRef{ref.chain, ref.index - 1});
-      PHX_CHECK(prev != task_of.end());
-      ++task.unmet;
-      tasks_[prev->second].dependents.push_back(t);
-    }
-    // Cross-chain edges between two schedulable units. Edges touching a
-    // final unit are dropped: a final source replays in the tail *after*
-    // all of this, and a final target is automatically ordered after every
-    // task here.
-    for (const UnitRef& dep : plan_->unit(ref).deps) {
-      auto it = task_of.find(dep);
-      if (it == task_of.end()) continue;
-      ++task.unmet;
-      tasks_[it->second].dependents.push_back(t);
-    }
-  }
-
-  remaining_ = tasks_.size();
   for (size_t t = 0; t < tasks_.size(); ++t) {
-    if (tasks_[t].unmet == 0) ready_.push_back(t);
+    Task& task = tasks_[t];
+    if (task.final) continue;
+    // Chain order is itself a dependency.
+    if (task.ref.index > 0) {
+      ++task.unmet;
+      tasks_[t - 1].dependents.push_back(t);
+    }
+    // Cross-chain edges between two non-final units. Edges touching a final
+    // unit are dropped: a final source replays in the final phase *after*
+    // all of this, and a final target is automatically ordered after every
+    // non-final task.
+    for (const UnitRef& dep : plan_->unit(task.ref).deps) {
+      size_t d = chain_first_task_[dep.chain] + dep.index;
+      if (tasks_[d].final) continue;
+      ++task.unmet;
+      tasks_[d].dependents.push_back(t);
+    }
+    ++remaining_;
+    if (task.unmet == 0) ready_.push_back(t);
   }
 }
 
@@ -139,13 +135,30 @@ size_t ParallelReplayEngine::PopReady() {
   return t;
 }
 
-bool ParallelReplayEngine::Replay(uint64_t context_id, PendingReplay unit) {
-  Status status = (*replay_)(context_id, std::move(unit));
-  if (status.ok() && !process_->alive()) {
-    status = Status::Crashed("process died during recovery replay");
+Status ParallelReplayEngine::ReplayUnit(uint64_t context_id,
+                                        PendingReplay unit) {
+  Context* ctx = process_->FindContext(context_id);
+  if (ctx == nullptr) {
+    return Status::Internal(
+        StrCat("pending replay for unknown context ", context_id));
   }
-  if (status_.ok()) status_ = status;
-  return status.ok();
+
+  if (unit.is_creation) {
+    if (ctx->parent_initialized()) return Status::OK();  // created live
+    ++creations_replayed_;
+    return ctx->ReplayCreation(unit.creation.ctor_args, std::move(unit.feed));
+  }
+
+  ++calls_replayed_;
+  Component* parent = ctx->parent();
+  PHX_CHECK(parent != nullptr);
+  CallMessage msg = MessageFromRecord(unit.incoming, parent->uri());
+  Result<ReplyMessage> reply = ctx->ReplayIncoming(msg, std::move(unit.feed));
+  if (!reply.ok()) return std::move(reply).status();
+  // Condition 5: the reply stays with the recovery manager. The last-call
+  // table was updated inside ReplayIncoming; a retrying client will be
+  // answered from there.
+  return Status::OK();
 }
 
 bool ParallelReplayEngine::ReplayTask(size_t t) {
@@ -153,23 +166,26 @@ bool ParallelReplayEngine::ReplayTask(size_t t) {
   Task& task = tasks_[t];
   task.started = true;
   uint32_t chain = task.ref.chain;
-  if (!chain_spans_[chain].has_value()) {
+  if (!task.final && !chain_spans_[chain].has_value()) {
     chain_spans_[chain] = sim->tracer().StartSpan(
         "recovery", "replay_chain", label_, parent_,
         {obs::Arg("context", task.context_id),
          obs::Arg("units", static_cast<uint64_t>(chain_tasks_left_[chain]))});
   }
-  if (!Replay(task.context_id,
-              std::move(plan_->chains[chain].units[task.ref.index].replay))) {
-    return false;
+  Status status = ReplayUnit(
+      task.context_id,
+      std::move(plan_->chains[chain].units[task.ref.index].replay));
+  if (status.ok() && !process_->alive()) {
+    status = Status::Crashed("process died during recovery replay");
   }
-  ++units_replayed_;
-  return true;
+  if (status_.ok()) status_ = status;
+  return status.ok();
 }
 
 void ParallelReplayEngine::Finish(size_t t) {
   Task& task = tasks_[t];
   task.done = true;
+  if (task.final) return;
   double finish_ms = process_->simulation()->clock().NowMs();
   for (size_t d : task.dependents) {
     Task& dependent = tasks_[d];
@@ -183,39 +199,39 @@ void ParallelReplayEngine::Finish(size_t t) {
 }
 
 void ParallelReplayEngine::ReplayThrough(uint64_t context_id,
-                                         const CallId& call_id) {
+                                         const CallMessage& msg) {
   auto found = chain_of_context_.find(context_id);
   if (found == chain_of_context_.end() || !status_.ok()) return;
   uint32_t c = found->second;
-  ReplayChain& chain = plan_->chains[c];
-  size_t through = chain.units.size();
-  for (size_t u = 0; u < chain.units.size(); ++u) {
-    const PendingReplay& unit = chain.units[u].replay;
-    if (!unit.is_creation && unit.incoming.call_id == call_id) {
-      through = u;
-      break;
-    }
+  const ReplayChain& chain = plan_->chains[c];
+  // The last unit to replay: in the final phase the chain's final; in the
+  // engine phase the one that logged this call.
+  size_t through = chain.units.size() - 1;
+  if (!final_phase_) {
+    if (!msg.has_call_id) return;
+    auto logged = std::find_if(
+        chain.units.begin(), chain.units.end(), [&msg](const PlannedUnit& u) {
+          return !u.replay.is_creation &&
+                 u.replay.incoming.call_id == msg.call_id;
+        });
+    through = logged - chain.units.begin();
   }
-  if (through == chain.units.size()) return;
+  if (through >= chain.units.size()) return;  // no such unit
 
   for (size_t u = 0; u <= through; ++u) {
-    if (u + 1 == chain.units.size()) {
-      if (final_replayed_[c]) return;
-      final_replayed_[c] = true;
-      Replay(context_id, std::move(chain.units[u].replay));
-      return;
-    }
     size_t t = chain_first_task_[c] + u;
     Task& task = tasks_[t];
     if (task.done) continue;
     // In flight further up this or another session's stack: the units
     // behind it cannot pass it.
     if (task.started) return;
-    auto queued = std::find(ready_.begin(), ready_.end(), t);
-    if (queued != ready_.end()) ready_.erase(queued);
-    // The caller's lane waits for the context's restore.
-    if (lanes_->open()) {
-      process_->simulation()->clock().AdvanceLaneToMs(task.ready_ms);
+    if (!task.final) {
+      auto queued = std::find(ready_.begin(), ready_.end(), t);
+      if (queued != ready_.end()) ready_.erase(queued);
+      // The caller's lane waits for the context's restore.
+      if (lanes_->open()) {
+        process_->simulation()->clock().AdvanceLaneToMs(task.ready_ms);
+      }
     }
     if (!ReplayTask(t)) return;
     Finish(t);
@@ -272,15 +288,13 @@ void ParallelReplayEngine::WorkerLoop() {
 }
 
 Status ParallelReplayEngine::Run(
-    RecoveryLanes& lanes, const std::map<uint64_t, double>& context_ready_ms,
-    const UnitReplayFn& replay) {
+    RecoveryLanes& lanes, const std::map<uint64_t, double>& context_ready_ms) {
   lanes_ = &lanes;
-  replay_ = &replay;
   BuildTasks(context_ready_ms);
   // A plan without non-final units still replays its finals on one lane.
-  sessions_used_ = static_cast<uint32_t>(
-      std::clamp<size_t>(tasks_.size(), 1, sessions_));
-  if (tasks_.empty()) return Status::OK();
+  sessions_used_ =
+      static_cast<uint32_t>(std::clamp<size_t>(remaining_, 1, sessions_));
+  if (remaining_ == 0) return Status::OK();
 
   Simulation* sim = process_->simulation();
   if (sessions_ == 1) {
@@ -300,6 +314,25 @@ Status ParallelReplayEngine::Run(
     status_ = Status::Crashed("parallel replay aborted");
   }
   return status_;
+}
+
+Status ParallelReplayEngine::ReplayFinals() {
+  final_phase_ = true;
+  for (size_t t : finals_) {
+    if (tasks_[t].started) continue;  // replayed on demand
+    ReplayTask(t);
+    if (!process_->alive()) {
+      return Status::Crashed("process died during recovery replay");
+    }
+    // A failed final fails the recovery, this one or one a live call
+    // replayed on demand inside it.
+    if (!status_.ok()) return status_;
+    Finish(t);
+    if (process_->MaybeCrash(FailurePoint::kDuringEndOfLogFlush)) {
+      return Status::Crashed("crashed during end-of-log flush");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace phoenix

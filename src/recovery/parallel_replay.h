@@ -2,7 +2,6 @@
 #define PHOENIX_RECOVERY_PARALLEL_REPLAY_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -66,44 +65,50 @@ class RecoveryLanes {
   std::vector<double> lane_avail_;
 };
 
-// Recovery's one pass-2 executor: it runs the non-final units of a replay
-// plan on K lanes. K replay workers pull ready units off a shared
-// dependency frontier as overlapping scheduler sessions (runtime/
-// session.h), parking (SessionScheduler::ParkUntil) when every remaining
-// unit is blocked on one still in flight. With one lane the same pop loop
-// runs inline on the calling chain — no sessions, no park — which is also
-// how a recovery nested in a running session chain replays. Elapsed sim
-// time is list-scheduled on the recovery lanes the redo phase's restores
-// already occupy: each unit is charged to the lane that can start it
-// earliest, once its chain predecessor, its edges and the restores it
-// needs (its context ready time) are done — so replay of a context
-// restored early overlaps the restores still running, and recovery cost is
-// bounded by max(critical path, work / K) instead of total log length.
-// Among ready units the one that can start earliest pops first, ties by
-// replay order; on one lane every unit can start at once, so the schedule
-// is ascending replay order, which the plan's edges always respect. Which
-// session happens to execute a unit does not enter the timing
-// model; the session interleaving decides only the (dependency-legal)
-// execution order.
+// Recovery's one pass-2 executor: it owns every unit of a replay plan and
+// replays them in two phases.
 //
-// Only non-final units run here. They are provably complete — the context's
-// next incoming record is on the stable log, and the log is written in
-// prefix order, so every logged reply the unit needs precedes that record —
-// which makes their replay self-contained: outgoing calls are answered from
-// the feed (or re-executed against stateless functional components), and
-// nothing escapes the process. Complete units of different chains commute;
+// The engine phase (Run) replays the non-final units on K lanes. K replay
+// workers pull ready units off a shared dependency frontier as overlapping
+// scheduler sessions (runtime/session.h), parking
+// (SessionScheduler::ParkUntil) when every remaining unit is blocked on one
+// still in flight. With one lane the same pop loop runs inline on the
+// calling chain — no sessions, no park — which is also how a recovery
+// nested in a running session chain replays. Elapsed sim time is
+// list-scheduled on the recovery lanes the redo phase's restores already
+// occupy: each unit is charged to the lane that can start it earliest,
+// once its chain predecessor, its edges and the restores it needs (its
+// context ready time) are done — so replay of a context restored early
+// overlaps the restores still running, and recovery cost is bounded by
+// max(critical path, work / K) instead of total log length. Among ready
+// units the one that can start earliest pops first, ties by replay order;
+// on one lane every unit can start at once, so the schedule is ascending
+// replay order, which the plan's edges always respect. Which session
+// happens to execute a unit does not enter the timing model; the session
+// interleaving decides only the (dependency-legal) execution order.
+//
+// Non-final units are provably complete — the context's next incoming
+// record is on the stable log, and the log is written in prefix order, so
+// every logged reply the unit needs precedes that record — which makes
+// their replay self-contained: outgoing calls are answered from the feed
+// (or re-executed against stateless functional components), and nothing
+// escapes the process. Complete units of different chains commute;
 // dependency edges (and the per-chain order) are honored so the schedule
-// and the timing model still follow causality. Each chain's *final* unit —
-// the one that runs into live execution on an intact log — is left to the
-// caller, which replays them oldest first in its end-of-log flush, with the
-// demand flusher installed.
+// and the timing model still follow causality.
 //
-// A salvage gap can take a logged reply from a complete unit, which then
-// calls out live while the callee's own logged unit for that call still
-// waits behind it in the plan. ReplayThrough, the engine phase's demand
-// flusher, replays the callee's chain through that unit first — its final
-// unit too, if that is the one — so the live call is answered from the
-// last-call table instead of executing twice.
+// The final phase (ReplayFinals), once the caller has closed the lanes,
+// replays each chain's final unit — the one that runs into live execution
+// on an intact log — on the calling chain, oldest first.
+//
+// ReplayThrough is the demand flusher of both phases: a live call into a
+// context first replays the units it must not overtake. In the engine
+// phase that is the context's chain through the unit that logged the same
+// call — a salvage gap can take a logged reply from a complete unit, which
+// then calls out live while the callee's unit for that call still waits
+// behind it in the plan — so the call is answered from the last-call table
+// instead of executing twice. In the final phase it is the context's final
+// unit, whatever the call, since a context must be recovered to its last
+// send before it serves anyone.
 //
 // Determinism: one runnable session at a time, pops decided by lane times
 // and replay order, and the scheduler's choice among runnable workers drawn
@@ -111,42 +116,44 @@ class RecoveryLanes {
 // same schedule, lane times and metrics.
 class ParallelReplayEngine {
  public:
-  // Replays one unit of `context_id` (RecoveryManager::ReplayUnit).
-  using UnitReplayFn =
-      std::function<Status(uint64_t context_id, PendingReplay unit)>;
-
-  // `plan` must outlive the engine; Run moves the non-final units' replay
-  // payloads out of it. `sessions` is K, the lane count; at 1 the pop loop
-  // runs inline. `parent` is the span the per-chain spans (and all live work
-  // the replay does) nest under; `label` the process label for spans
-  // ("machine/pid").
+  // `plan` must outlive the engine; replay moves the units' payloads out of
+  // it. `sessions` is K, the lane count; at 1 the pop loop runs inline.
+  // `parent` is the span the per-chain spans (and all live work the replay
+  // does) nest under; `label` the process label for spans ("machine/pid").
   ParallelReplayEngine(Process* process, ReplayPlan* plan, uint32_t sessions,
                        obs::SpanLink parent, std::string label);
 
   ParallelReplayEngine(const ParallelReplayEngine&) = delete;
   ParallelReplayEngine& operator=(const ParallelReplayEngine&) = delete;
 
-  // Replays every non-final unit on `lanes`, which the caller closes.
-  // `context_ready_ms` holds, per context, the absolute time before which
-  // none of its units may start; a context absent from it is ready at once.
+  // The engine phase: replays every non-final unit on `lanes`, which the
+  // caller closes. `context_ready_ms` holds, per context, the absolute time
+  // before which none of its units may start; a context absent from it is
+  // ready at once. The between-replay-units crash point fires after each
+  // unit a worker pops.
   Status Run(RecoveryLanes& lanes,
-             const std::map<uint64_t, double>& context_ready_ms,
-             const UnitReplayFn& replay);
+             const std::map<uint64_t, double>& context_ready_ms);
+  // The final phase, after a successful Run: replays each chain's final
+  // unit that ReplayThrough has not, in ascending replay order on the
+  // calling chain. The end-of-log flush crash point fires after each.
+  Status ReplayFinals();
 
-  // Called while Run is in progress, before a live call with `call_id`
-  // enters `context_id`: replays, in chain order on the calling lane, the
-  // context's units that have not started, through the one whose incoming
-  // record carries `call_id`. Does nothing when the context logged no such
-  // call; stops at a unit still in flight.
-  void ReplayThrough(uint64_t context_id, const CallId& call_id);
-  // Whether ReplayThrough already replayed chain `chain`'s final unit.
-  bool final_replayed(size_t chain) const { return final_replayed_[chain]; }
+  // The demand flusher (Process::SetPendingFlusher): called before the live
+  // call `msg` enters `context_id`, it replays in chain order, on the
+  // calling lane, the context's units that have not started — in the
+  // engine phase through the one whose incoming record carries the call's
+  // ID (nothing when the call has none or the context logged no such
+  // call), in the final phase through its final unit. Stops at a unit
+  // still in flight; a failure fails the recovery.
+  void ReplayThrough(uint64_t context_id, const CallMessage& msg);
 
   uint32_t sessions_used() const { return sessions_used_; }
-  uint64_t units_replayed() const { return units_replayed_; }
+  uint64_t calls_replayed() const { return calls_replayed_; }
+  uint64_t creations_replayed() const { return creations_replayed_; }
 
  private:
-  // One schedulable unit: a chain's non-final unit plus dependency state.
+  // One unit of the plan plus its scheduling state. A chain's final unit is
+  // a task of the final phase: it joins no dependency edge and no frontier.
   struct Task {
     uint64_t context_id = 0;
     // Replay order of the unit (PendingReplay::order): the start LSN on a
@@ -154,6 +161,7 @@ class ParallelReplayEngine {
     uint64_t order = 0;
     // The unit in the plan, whose payload the replay takes over.
     UnitRef ref;
+    bool final = false;  // the chain's last unit
     // Task indices waiting on this one (chain order + edges).
     std::vector<size_t> dependents;
     size_t unmet = 0;  // prerequisites not yet replayed
@@ -167,13 +175,14 @@ class ParallelReplayEngine {
   void BuildTasks(const std::map<uint64_t, double>& context_ready_ms);
   // Removes and returns the ready task that can start earliest.
   size_t PopReady();
-  // Replays `unit`; a failure, or a process that died in it, goes to
-  // status_ and returns false.
-  bool Replay(uint64_t context_id, PendingReplay unit);
-  // Replays task `t` on the current lane.
+  // Re-executes one unit of `context_id`: its creation, or its incoming
+  // call against the logged reply feed.
+  Status ReplayUnit(uint64_t context_id, PendingReplay unit);
+  // Replays task `t` on the current lane; a failure, or a process that
+  // died in it, goes to status_ and returns false.
   bool ReplayTask(size_t t);
   // Marks task `t` replayed: releases its dependents, ends its chain's span
-  // after the chain's last task.
+  // after the chain's last non-final task.
   void Finish(size_t t);
   void WorkerLoop();
 
@@ -184,16 +193,17 @@ class ParallelReplayEngine {
   std::string label_;
 
   RecoveryLanes* lanes_ = nullptr;
-  const UnitReplayFn* replay_ = nullptr;
+  // Every unit; a chain's tasks are adjacent, in unit order.
   std::vector<Task> tasks_;
-  // Per chain: the index of its first task (a chain's tasks are adjacent,
-  // in unit order), and whether ReplayThrough replayed its final unit.
+  // Per context its chain, and per chain the index of its first task.
   std::map<uint64_t, uint32_t> chain_of_context_;
   std::vector<size_t> chain_first_task_;
-  std::vector<bool> final_replayed_;
-  // Dependency frontier: at most one unit per chain.
+  // The final phase's tasks, oldest first, and whether it has begun.
+  std::vector<size_t> finals_;
+  bool final_phase_ = false;
+  // Dependency frontier of the engine phase: at most one unit per chain.
   std::vector<size_t> ready_;
-  size_t remaining_ = 0;
+  size_t remaining_ = 0;  // non-final tasks not yet done
   Status status_ = Status::OK();
 
   // Per-chain span bookkeeping: non-final unit counts and the open span.
@@ -201,7 +211,8 @@ class ParallelReplayEngine {
   std::vector<std::optional<obs::Tracer::Span>> chain_spans_;
 
   uint32_t sessions_used_ = 0;
-  uint64_t units_replayed_ = 0;
+  uint64_t calls_replayed_ = 0;
+  uint64_t creations_replayed_ = 0;
 };
 
 }  // namespace phoenix

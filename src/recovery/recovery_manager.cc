@@ -712,29 +712,6 @@ Status RecoveryManager::ColdStartPassTwo() {
   return Status::OK();
 }
 
-Status RecoveryManager::FlushAllPendingOldestFirst() {
-  Process& proc = *process_;
-  Status result = Status::OK();
-  while (result.ok() && !pending_.empty()) {
-    uint64_t best_ctx = 0;
-    uint64_t best_order = kInvalidLsn;
-    for (const auto& [context_id, unit] : pending_) {
-      if (unit.order < best_order) {
-        best_order = unit.order;
-        best_ctx = context_id;
-      }
-    }
-    result = FlushPending(best_ctx);
-    if (!proc.alive()) {
-      result = Status::Crashed("process died during recovery replay");
-    } else if (result.ok() &&
-               proc.MaybeCrash(FailurePoint::kDuringEndOfLogFlush)) {
-      result = Status::Crashed("crashed during end-of-log flush");
-    }
-  }
-  return result;
-}
-
 Status RecoveryManager::RunPlan(ReplayPlan& plan, RecoveryLanes* lanes,
                                 uint32_t sessions) {
   Process& proc = *process_;
@@ -795,18 +772,13 @@ Status RecoveryManager::RunPlan(ReplayPlan& plan, RecoveryLanes* lanes,
                           ready_offsets, /*lanes_only=*/true) -
                restores_ms);
   ParallelReplayEngine engine(&proc, &plan, sessions, span.link(), label);
-  // A live call that a salvage gap lets out of a complete unit finds its
-  // target replayed through the unit that logged the same call.
+  // One demand flusher for both phases: a live call finds its target
+  // replayed as far as it must be first.
   proc.SetPendingFlusher(
       [&engine](uint64_t context_id, const CallMessage& msg) {
-        if (msg.has_call_id) engine.ReplayThrough(context_id, msg.call_id);
+        engine.ReplayThrough(context_id, msg);
       });
-  Status status = engine.Run(
-      replay_lanes, ready_ms,
-      [this](uint64_t context_id, PendingReplay unit) {
-        return ReplayUnit(context_id, std::move(unit));
-      });
-  proc.SetPendingFlusher(nullptr);
+  Status status = engine.Run(replay_lanes, ready_ms);
   // The replay phase's share of the lanes: how far it ran past the
   // restores.
   double makespan_ms = replay_lanes.Close() - restores_ms;
@@ -824,56 +796,12 @@ Status RecoveryManager::RunPlan(ReplayPlan& plan, RecoveryLanes* lanes,
   span.AddArg(obs::Arg("critical_path_ms", critical_path_ms));
   span.AddArg(obs::Arg("makespan_ms", makespan_ms));
 
-  if (status.ok()) {
-    // Tail: each chain's final unit, flushed oldest first with the demand
-    // flusher installed, so a unit that goes live and calls into a context
-    // whose tail has not replayed yet forces that unit through first.
-    proc.SetPendingFlusher([this](uint64_t context_id, const CallMessage&) {
-      (void)FlushPending(context_id);
-    });
-    for (size_t c = 0; c < plan.chains.size(); ++c) {
-      ReplayChain& chain = plan.chains[c];
-      if (chain.units.empty() || engine.final_replayed(c)) continue;
-      pending_[chain.context_id] = std::move(chain.units.back().replay);
-    }
-    status = FlushAllPendingOldestFirst();
-    proc.SetPendingFlusher(nullptr);
-  }
+  // The final phase runs past the lanes, on the calling chain.
+  if (status.ok()) status = engine.ReplayFinals();
+  proc.SetPendingFlusher(nullptr);
+  stats_.calls_replayed += engine.calls_replayed();
+  stats_.creations_replayed += engine.creations_replayed();
   return status;
-}
-
-Status RecoveryManager::FlushPending(uint64_t context_id) {
-  auto it = pending_.find(context_id);
-  if (it == pending_.end()) return Status::OK();
-  PendingReplay unit = std::move(it->second);
-  pending_.erase(it);
-  return ReplayUnit(context_id, std::move(unit));
-}
-
-Status RecoveryManager::ReplayUnit(uint64_t context_id, PendingReplay unit) {
-  Process& proc = *process_;
-  Context* ctx = proc.FindContext(context_id);
-  if (ctx == nullptr) {
-    return Status::Internal(
-        StrCat("pending replay for unknown context ", context_id));
-  }
-
-  if (unit.is_creation) {
-    if (ctx->parent_initialized()) return Status::OK();  // created live
-    ++stats_.creations_replayed;
-    return ctx->ReplayCreation(unit.creation.ctor_args, std::move(unit.feed));
-  }
-
-  ++stats_.calls_replayed;
-  Component* parent = ctx->parent();
-  PHX_CHECK(parent != nullptr);
-  CallMessage msg = MessageFromRecord(unit.incoming, parent->uri());
-  Result<ReplyMessage> reply = ctx->ReplayIncoming(msg, std::move(unit.feed));
-  if (!reply.ok()) return std::move(reply).status();
-  // Condition 5: the reply stays with the recovery manager. The last-call
-  // table was updated inside ReplayIncoming; a retrying client will be
-  // answered from there.
-  return Status::OK();
 }
 
 }  // namespace phoenix

@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "common/result.h"
-#include "recovery/replay.h"
 #include "recovery/replay_plan.h"
 #include "runtime/last_call_table.h"
 #include "runtime/remote_type_table.h"
@@ -55,15 +54,15 @@ const char* RecoveryModeName(RecoveryMode mode);
 // charged, once. Contexts with state records are then restored field by
 // field.
 //
-// Pass 2 runs pass 1's plan on the replay engine (parallel_replay.h), on
-// the lanes the restores ran on: one lane unless parallel replay is on.
-// Replayed calls' outgoing calls are answered from the buffered replies and
-// suppressed (Figure 5). The final unit of each context replays last,
-// oldest first, and may run into live execution when a logged reply is
-// missing — its outgoing calls then really go out, with the same
-// deterministic IDs, and the servers eliminate duplicates. Replies of
-// replayed calls go to the recovery manager, never to clients
-// (condition 5).
+// Pass 2 runs pass 1's plan on the replay engine (parallel_replay.h),
+// which owns every unit: the non-final units on the lanes the restores ran
+// on (one lane unless parallel replay is on), then, in its final phase,
+// each context's final unit, oldest first. Replayed calls' outgoing calls
+// are answered from the buffered replies and suppressed (Figure 5). A final
+// unit may run into live execution when a logged reply is missing — its
+// outgoing calls then really go out, with the same deterministic IDs, and
+// the servers eliminate duplicates. Replies of replayed calls go to the
+// recovery manager, never to clients (condition 5).
 class RecoveryManager {
  public:
   explicit RecoveryManager(Process* process,
@@ -157,19 +156,15 @@ class RecoveryManager {
   // from a fresh scan from the lowest origin — on `lanes`, inline on one
   // lane when this recovery is nested in a running session chain.
   Status PassTwo(RecoveryLanes& lanes);
-  // The executor: replays the plan's non-final units on `sessions` lanes —
-  // `lanes` while they are open, lanes of its own when there are none or
-  // they closed — then each chain's final unit in the end-of-log flush.
+  // Runs `plan` on the replay engine: its non-final units on `sessions`
+  // lanes — `lanes` while they are open, lanes of its own when there are
+  // none or they closed — and, once the lanes are closed, each chain's
+  // final unit, with the engine's demand flusher installed throughout.
   Status RunPlan(ReplayPlan& plan, RecoveryLanes* lanes, uint32_t sessions);
   // Cold-start replacement for pass 2 (RecoveryMode::kColdStart): replays
   // only the creation of contexts with no saved state so components
   // initialize; every logged message after the origins is abandoned.
   Status ColdStartPassTwo();
-  // End-of-log replay: flushes every pending unit, oldest order first.
-  Status FlushAllPendingOldestFirst();
-  // Replays (and removes) the pending unit of `context_id`, if any.
-  Status FlushPending(uint64_t context_id);
-  Status ReplayUnit(uint64_t context_id, PendingReplay unit);
 
   Process* process_;
   RecoveryMode mode_;
@@ -177,7 +172,6 @@ class RecoveryManager {
   std::map<uint64_t, ContextInfo> infos_;
   std::map<LastCallTable::Key, LastCallEntry> rebuilt_last_calls_;
   std::map<std::string, RemoteTypeInfo> rebuilt_remote_types_;
-  std::map<uint64_t, PendingReplay> pending_;
   std::optional<ReplayPlan> plan_;
 };
 

@@ -108,8 +108,8 @@ struct ReplayPlan {
 // Longest dependency-respecting path through `plan` when every unit takes
 // `unit_ms` and no chain starts before its context's entry in `ready_ms`
 // (ms from the start; 0 when absent). With `lanes_only`, each chain's last
-// unit and the edges out of it are left out: recovery replays those in its
-// tail, after the lanes close. Any schedule that honors chain order, the
+// unit and the edges out of it are left out: the replay engine replays
+// those in its final phase, after the lanes close. Any schedule that honors chain order, the
 // kept edges and the ready times — the recovery lanes' does — runs at
 // least this long.
 double CriticalPathMs(const ReplayPlan& plan, double unit_ms,

@@ -34,8 +34,10 @@ enum class FailurePoint : int {
   // hit counters below stay untouched).
   kDuringRecoveryAnalysis = 9,   // pass-1 analysis scan, per record
   kDuringRecoveryRestore = 10,   // checkpoint-state reinstatement, per ctx
-  kBetweenReplayUnits = 11,      // pass 2, after each replayed unit
-  kDuringEndOfLogFlush = 12,     // end-of-log flush of pending finals
+  kBetweenReplayUnits = 11,      // pass 2, after each non-final unit a
+                                 // replay worker pops
+  kDuringEndOfLogFlush = 12,     // pass 2's final phase, after each final
+                                 // unit it replays
 };
 
 constexpr int kNumFailurePoints = 13;

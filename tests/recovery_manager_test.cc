@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -453,58 +454,94 @@ TEST(RestoreLanesTest, PhaseSpansSumToTheRecoveryDuration) {
 }
 
 TEST(OneLaneScheduleTest, NonFinalUnitsInLogOrderThenFinalsOldestFirst) {
-  RuntimeOptions opts;  // parallel replay off: one lane
-  Simulation sim(opts);
-  RegisterTestComponents(sim.factories());
-  Machine& alpha = sim.AddMachine("alpha");
-  Process& proc = alpha.CreateProcess();
-  DeployLaneWorkload(sim, proc, /*squarer=*/true);
-  proc.Kill();
+  // On one lane the non-final units replay in log order; on four they may
+  // interleave. Either way every final replays after every non-final unit,
+  // oldest first, in the engine's final phase.
+  for (uint32_t lanes : {1u, 4u}) {
+    SCOPED_TRACE(StrCat("lanes=", lanes));
+    RuntimeOptions opts;
+    opts.parallel_replay = lanes > 1;
+    opts.parallel_replay_sessions = lanes;
+    // No trigger: the crash points only count their hits.
+    opts.inject_failures_during_recovery = true;
+    Simulation sim(opts);
+    RegisterTestComponents(sim.factories());
+    Machine& alpha = sim.AddMachine("alpha");
+    Process& proc = alpha.CreateProcess();
+    DeployLaneWorkload(sim, proc, /*squarer=*/true);
+    proc.Kill();
 
-  // An independent walk of the stable log: every logged incoming call, and
-  // per context the last one, its final unit.
-  struct Call {
-    uint64_t context = 0;
-    std::string method;
-    bool final = false;
-  };
-  std::vector<Call> calls;
-  std::map<uint64_t, size_t> last;
-  LogView view = proc.log().StableView();
-  LogReader reader(view, proc.log().head_base());
-  while (auto parsed = reader.Next()) {
-    if (const auto* in = std::get_if<IncomingCallRecord>(&parsed->record)) {
-      last[in->context_id] = calls.size();
-      calls.push_back(Call{in->context_id, in->method});
+    // An independent walk of the stable log: every logged incoming call,
+    // and per context the last one, its final unit; plus each context's
+    // unit count, its creation included.
+    struct Call {
+      uint64_t context = 0;
+      std::string method;
+      bool final = false;
+    };
+    std::vector<Call> calls;
+    std::map<uint64_t, size_t> last;
+    std::map<uint64_t, uint64_t> units;
+    LogView view = proc.log().StableView();
+    LogReader reader(view, proc.log().head_base());
+    while (auto parsed = reader.Next()) {
+      if (const auto* in = std::get_if<IncomingCallRecord>(&parsed->record)) {
+        last[in->context_id] = calls.size();
+        calls.push_back(Call{in->context_id, in->method});
+        ++units[in->context_id];
+      } else if (const auto* creation =
+                     std::get_if<CreationRecord>(&parsed->record)) {
+        ++units[creation->context_id];
+      }
     }
-  }
-  for (const auto& [context, index] : last) calls[index].final = true;
-  std::vector<std::string> expected;
-  for (bool finals : {false, true}) {
+    for (const auto& [context, index] : last) calls[index].final = true;
+    std::vector<std::string> non_finals;
+    std::vector<std::string> finals;
     for (const Call& call : calls) {
-      if (call.final == finals) {
-        expected.push_back(StrCat(call.context, ":", call.method));
-      }
+      (call.final ? finals : non_finals)
+          .push_back(StrCat(call.context, ":", call.method));
     }
-  }
+    uint64_t unit_count = 0;
+    for (const auto& [context, count] : units) unit_count += count;
+    uint64_t non_final_units = unit_count - units.size();
 
-  sim.tracer().set_enabled(true);
-  ASSERT_TRUE(alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
-  std::vector<std::string> replayed;
-  for (const obs::TraceEvent& e : sim.tracer().events()) {
-    if (e.category != "intercept" || e.phase != obs::TracePhase::kBegin ||
-        e.name.rfind("replay:", 0) != 0) {
-      continue;
-    }
-    for (const obs::TraceArg& arg : e.args) {
-      if (arg.key == "context") {
-        replayed.push_back(StrCat(arg.value, ":", e.name.substr(7)));
+    sim.tracer().set_enabled(true);
+    ASSERT_TRUE(alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
+    std::vector<std::string> replayed;
+    for (const obs::TraceEvent& e : sim.tracer().events()) {
+      if (e.category != "intercept" || e.phase != obs::TracePhase::kBegin ||
+          e.name.rfind("replay:", 0) != 0) {
+        continue;
+      }
+      for (const obs::TraceArg& arg : e.args) {
+        if (arg.key == "context") {
+          replayed.push_back(StrCat(arg.value, ":", e.name.substr(7)));
+        }
       }
     }
+    ASSERT_EQ(replayed.size(), non_finals.size() + finals.size());
+    std::vector<std::string> replayed_non_finals(
+        replayed.begin(), replayed.begin() + non_finals.size());
+    std::vector<std::string> replayed_finals(
+        replayed.begin() + non_finals.size(), replayed.end());
+    if (lanes > 1) {
+      std::sort(non_finals.begin(), non_finals.end());
+      std::sort(replayed_non_finals.begin(), replayed_non_finals.end());
+    }
+    EXPECT_EQ(replayed_non_finals, non_finals);
+    EXPECT_EQ(replayed_finals, finals);
+
+    // The between-units crash point fires after each non-final unit, the
+    // end-of-log flush's after each final.
+    EXPECT_EQ(sim.injector().HitCount("alpha", proc.pid(),
+                                      FailurePoint::kBetweenReplayUnits),
+              non_final_units);
+    EXPECT_EQ(sim.injector().HitCount("alpha", proc.pid(),
+                                      FailurePoint::kDuringEndOfLogFlush),
+              units.size());
+    EXPECT_EQ(sim.metrics().GaugeTotal("phoenix.recovery.replay.parallelism"),
+              static_cast<double>(std::min<uint64_t>(lanes, non_final_units)));
   }
-  EXPECT_EQ(replayed, expected);
-  EXPECT_EQ(sim.metrics().GaugeTotal("phoenix.recovery.replay.parallelism"),
-            1.0);
 }
 
 // Structural fingerprint of a plan: chains, units, feeds and edges.
