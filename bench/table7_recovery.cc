@@ -112,11 +112,11 @@ uint64_t FindInteriorLsn(Process& proc) {
   ReplayPlan plan = PlanLogReplay(proc.log(), std::move(inputs));
   for (const ReplayChain& chain : plan.chains) {
     for (const PlannedUnit& unit : chain.units) {
-      if (unit.extent_end_lsn <= unit.replay.start_lsn) continue;
+      if (unit.extent_end_lsn() <= unit.start_lsn()) continue;
       LogReader reader(view, proc.log().head_base());
       while (auto parsed = reader.Next()) {
-        if (parsed->lsn > unit.replay.start_lsn &&
-            parsed->lsn < unit.extent_end_lsn) {
+        if (parsed->lsn > unit.start_lsn() &&
+            parsed->lsn < unit.extent_end_lsn()) {
           return parsed->lsn;
         }
       }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <string>
+#include <variant>
 
 #include "common/macros.h"
 #include "common/strings.h"
@@ -57,7 +59,32 @@ double RecoveryLanes::Close() {
   return clock_.EndParallel();
 }
 
-ParallelReplayEngine::ParallelReplayEngine(Process* process, ReplayPlan* plan,
+namespace {
+
+// Rebuilds the CallMessage a logged incoming call was delivered as.
+CallMessage MessageFromRecord(const IncomingCallRecord& record,
+                              const std::string& target_uri) {
+  CallMessage msg;
+  msg.target_uri = target_uri;
+  msg.method = record.method;
+  msg.args = record.args;
+  if (!record.call_id.caller.machine.empty() || record.call_id.seq != 0 ||
+      record.client_kind != ComponentKind::kExternal) {
+    // External callers carry no ID (an empty caller key marks them).
+    msg.has_call_id = record.client_kind != ComponentKind::kExternal;
+    msg.call_id = record.call_id;
+  }
+  if (record.client_kind != ComponentKind::kExternal) {
+    msg.has_sender_info = true;
+    msg.sender_kind = record.client_kind;
+  }
+  return msg;
+}
+
+}  // namespace
+
+ParallelReplayEngine::ParallelReplayEngine(Process* process,
+                                           const ReplayPlan* plan,
                                           uint32_t sessions,
                                           obs::SpanLink parent,
                                           std::string label)
@@ -81,7 +108,7 @@ void ParallelReplayEngine::BuildTasks(
     for (uint32_t u = 0; u < chain.units.size(); ++u) {
       Task task;
       task.context_id = chain.context_id;
-      task.order = chain.units[u].replay.order;
+      task.order = chain.units[u].order();
       task.ref = UnitRef{c, u};
       task.final = u + 1 == chain.units.size();
       task.ready_ms = ready != context_ready_ms.end() ? ready->second
@@ -136,24 +163,32 @@ size_t ParallelReplayEngine::PopReady() {
 }
 
 Status ParallelReplayEngine::ReplayUnit(uint64_t context_id,
-                                        PendingReplay unit) {
+                                        const PlannedUnit& unit) {
   Context* ctx = process_->FindContext(context_id);
   if (ctx == nullptr) {
     return Status::Internal(
         StrCat("pending replay for unknown context ", context_id));
   }
+  // The unit's logged replies, read in place.
+  ReplayFeed feed;
+  feed.reserve(unit.records.size() - 1);
+  for (size_t r = 1; r < unit.records.size(); ++r) {
+    feed.push_back(&std::get<ReplyReceivedRecord>(unit.records[r].record));
+  }
 
-  if (unit.is_creation) {
+  const LogRecord& opening = unit.records.front().record;
+  if (const auto* creation = std::get_if<CreationRecord>(&opening)) {
     if (ctx->parent_initialized()) return Status::OK();  // created live
     ++creations_replayed_;
-    return ctx->ReplayCreation(unit.creation.ctor_args, std::move(unit.feed));
+    return ctx->ReplayCreation(creation->ctor_args, feed);
   }
 
   ++calls_replayed_;
   Component* parent = ctx->parent();
   PHX_CHECK(parent != nullptr);
-  CallMessage msg = MessageFromRecord(unit.incoming, parent->uri());
-  Result<ReplyMessage> reply = ctx->ReplayIncoming(msg, std::move(unit.feed));
+  CallMessage msg = MessageFromRecord(std::get<IncomingCallRecord>(opening),
+                                      parent->uri());
+  Result<ReplyMessage> reply = ctx->ReplayIncoming(msg, feed);
   if (!reply.ok()) return std::move(reply).status();
   // Condition 5: the reply stays with the recovery manager. The last-call
   // table was updated inside ReplayIncoming; a retrying client will be
@@ -172,9 +207,7 @@ bool ParallelReplayEngine::ReplayTask(size_t t) {
         {obs::Arg("context", task.context_id),
          obs::Arg("units", static_cast<uint64_t>(chain_tasks_left_[chain]))});
   }
-  Status status = ReplayUnit(
-      task.context_id,
-      std::move(plan_->chains[chain].units[task.ref.index].replay));
+  Status status = ReplayUnit(task.context_id, plan_->unit(task.ref));
   if (status.ok() && !process_->alive()) {
     status = Status::Crashed("process died during recovery replay");
   }
@@ -211,8 +244,9 @@ void ParallelReplayEngine::ReplayThrough(uint64_t context_id,
     if (!msg.has_call_id) return;
     auto logged = std::find_if(
         chain.units.begin(), chain.units.end(), [&msg](const PlannedUnit& u) {
-          return !u.replay.is_creation &&
-                 u.replay.incoming.call_id == msg.call_id;
+          const auto* incoming =
+              std::get_if<IncomingCallRecord>(&u.records.front().record);
+          return incoming != nullptr && incoming->call_id == msg.call_id;
         });
     through = logged - chain.units.begin();
   }

@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "obs/tracer.h"
 #include "recovery/replay_plan.h"
+#include "runtime/message.h"
 
 namespace phoenix {
 
@@ -116,12 +117,14 @@ class RecoveryLanes {
 // same schedule, lane times and metrics.
 class ParallelReplayEngine {
  public:
-  // `plan` must outlive the engine; replay moves the units' payloads out of
-  // it. `sessions` is K, the lane count; at 1 the pop loop runs inline.
-  // `parent` is the span the per-chain spans (and all live work the replay
-  // does) nest under; `label` the process label for spans ("machine/pid").
-  ParallelReplayEngine(Process* process, ReplayPlan* plan, uint32_t sessions,
-                       obs::SpanLink parent, std::string label);
+  // `plan` must outlive the engine, which replays its units in place: the
+  // reply feeds point into them. `sessions` is K, the lane count; at 1 the
+  // pop loop runs inline. `parent` is the span the per-chain spans (and all
+  // live work the replay does) nest under; `label` the process label for
+  // spans ("machine/pid").
+  ParallelReplayEngine(Process* process, const ReplayPlan* plan,
+                       uint32_t sessions, obs::SpanLink parent,
+                       std::string label);
 
   ParallelReplayEngine(const ParallelReplayEngine&) = delete;
   ParallelReplayEngine& operator=(const ParallelReplayEngine&) = delete;
@@ -156,10 +159,10 @@ class ParallelReplayEngine {
   // a task of the final phase: it joins no dependency edge and no frontier.
   struct Task {
     uint64_t context_id = 0;
-    // Replay order of the unit (PendingReplay::order): the start LSN on a
+    // Replay order of the unit (PlannedUnit::order): the start LSN on a
     // single log, the global sequence number on a sharded WAL.
     uint64_t order = 0;
-    // The unit in the plan, whose payload the replay takes over.
+    // The unit in the plan.
     UnitRef ref;
     bool final = false;  // the chain's last unit
     // Task indices waiting on this one (chain order + edges).
@@ -177,7 +180,7 @@ class ParallelReplayEngine {
   size_t PopReady();
   // Re-executes one unit of `context_id`: its creation, or its incoming
   // call against the logged reply feed.
-  Status ReplayUnit(uint64_t context_id, PendingReplay unit);
+  Status ReplayUnit(uint64_t context_id, const PlannedUnit& unit);
   // Replays task `t` on the current lane; a failure, or a process that
   // died in it, goes to status_ and returns false.
   bool ReplayTask(size_t t);
@@ -187,7 +190,7 @@ class ParallelReplayEngine {
   void WorkerLoop();
 
   Process* process_;
-  ReplayPlan* plan_;
+  const ReplayPlan* plan_;
   uint32_t sessions_;
   obs::SpanLink parent_;
   std::string label_;

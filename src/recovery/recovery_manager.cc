@@ -712,7 +712,7 @@ Status RecoveryManager::ColdStartPassTwo() {
   return Status::OK();
 }
 
-Status RecoveryManager::RunPlan(ReplayPlan& plan, RecoveryLanes* lanes,
+Status RecoveryManager::RunPlan(const ReplayPlan& plan, RecoveryLanes* lanes,
                                 uint32_t sessions) {
   Process& proc = *process_;
   Simulation* sim = proc.simulation();

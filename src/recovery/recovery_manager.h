@@ -160,7 +160,8 @@ class RecoveryManager {
   // lanes — `lanes` while they are open, lanes of its own when there are
   // none or they closed — and, once the lanes are closed, each chain's
   // final unit, with the engine's demand flusher installed throughout.
-  Status RunPlan(ReplayPlan& plan, RecoveryLanes* lanes, uint32_t sessions);
+  Status RunPlan(const ReplayPlan& plan, RecoveryLanes* lanes,
+                 uint32_t sessions);
   // Cold-start replacement for pass 2 (RecoveryMode::kColdStart): replays
   // only the creation of contexts with no saved state so components
   // initialize; every logged message after the origins is abandoned.

@@ -30,7 +30,7 @@ double CriticalPathMs(const ReplayPlan& plan, double unit_ms,
     const ReplayChain& chain = plan.chains[c];
     for (uint32_t u = 0; u < chain.units.size(); ++u) {
       if (lanes_only && is_final(UnitRef{c, u})) continue;
-      order.emplace_back(chain.units[u].replay.order, UnitRef{c, u});
+      order.emplace_back(chain.units[u].order(), UnitRef{c, u});
     }
   }
   std::sort(order.begin(), order.end());
@@ -62,128 +62,6 @@ double CriticalPathMs(const ReplayPlan& plan, double unit_ms,
 
 namespace {
 
-// Incremental chain/edge construction, one ordered record at a time.
-// Below-origin filtering compares replay orders (inputs.origin_orders).
-class PlanBuilder {
- public:
-  PlanBuilder(ReplayPlan& plan, const ReplayPlanInputs& inputs)
-      : plan_(plan), inputs_(inputs) {}
-
-  // About how many units `context_id`'s chain will get, so it is sized
-  // about once.
-  void HintUnits(uint64_t context_id, size_t units) {
-    unit_hints_[context_id] = units;
-  }
-
-  // Takes the record's payload over: a plan holds every unit at once.
-  void Add(OrderedRecord rec) {
-    ++plan_.records_scanned;
-    if (auto* creation = std::get_if<CreationRecord>(&rec.record)) {
-      OnCreation(rec.lsn, rec.order, std::move(*creation));
-    } else if (auto* incoming = std::get_if<IncomingCallRecord>(&rec.record)) {
-      OnIncoming(rec.lsn, rec.order, std::move(*incoming));
-    } else if (auto* reply = std::get_if<ReplyReceivedRecord>(&rec.record)) {
-      OnReply(rec.lsn, std::move(*reply));
-    }
-    // Other record types were pass 1's business.
-  }
-
- private:
-  void OnCreation(uint64_t lsn, uint64_t order, CreationRecord rec) {
-    // Only the origin creation record opens a chain; newer duplicates
-    // (re-creations appended by a previous recovery) replay nothing.
-    auto it = inputs_.origin_orders.find(rec.context_id);
-    if (it == inputs_.origin_orders.end() || it->second == kInvalidLsn ||
-        order != it->second) {
-      return;
-    }
-    PendingReplay unit;
-    unit.is_creation = true;
-    unit.start_lsn = lsn;
-    unit.order = order;
-    uint64_t context_id = rec.context_id;
-    unit.creation = std::move(rec);
-    PushUnit(context_id, std::move(unit));
-  }
-
-  void OnIncoming(uint64_t lsn, uint64_t order, IncomingCallRecord rec) {
-    uint64_t context_id = rec.context_id;
-    auto it = inputs_.origin_orders.find(context_id);
-    if (it == inputs_.origin_orders.end()) return;
-    if (it->second != kInvalidLsn && order < it->second) return;
-
-    PendingReplay unit;
-    unit.start_lsn = lsn;
-    unit.order = order;
-    unit.incoming = std::move(rec);
-    UnitRef target = PushUnit(context_id, std::move(unit));
-
-    // Cross-chain edge: the call was issued by a local caller context
-    // whose open unit must replay before this one (it is the unit whose
-    // execution produced the call). The ClientKey's component id is the
-    // caller's context id; external clients and remote processes fail
-    // the machine/pid match and contribute no edge.
-    const ClientKey& caller = plan_.chains[target.chain]
-                                  .units[target.index]
-                                  .replay.incoming.call_id.caller;
-    if (caller.machine == inputs_.machine &&
-        caller.process_id == inputs_.process_id &&
-        caller.component_id != context_id) {
-      if (std::optional<UnitRef> source = OpenRef(caller.component_id);
-          source.has_value() && source->chain != target.chain) {
-        plan_.chains[target.chain].units[target.index].deps.push_back(
-            *source);
-        plan_.chains[source->chain].units[source->index].dependents
-            .push_back(target);
-        ++plan_.cross_edges;
-      }
-    }
-  }
-
-  void OnReply(uint64_t lsn, ReplyReceivedRecord rec) {
-    if (std::optional<UnitRef> ref = OpenRef(rec.context_id);
-        ref.has_value()) {
-      PlannedUnit& unit = plan_.chains[ref->chain].units[ref->index];
-      uint64_t seq = rec.seq;
-      unit.replay.feed.replies[seq] = std::move(rec);
-      unit.extent_end_lsn = lsn;
-    }
-  }
-
-  // The chain's currently-open unit: the one whose execution covers this
-  // point of the log (its last planned unit, units being closed only by the
-  // context's next incoming call).
-  std::optional<UnitRef> OpenRef(uint64_t context_id) const {
-    auto it = chain_of_.find(context_id);
-    if (it == chain_of_.end()) return std::nullopt;
-    const ReplayChain& chain = plan_.chains[it->second];
-    if (chain.units.empty()) return std::nullopt;
-    return UnitRef{it->second, static_cast<uint32_t>(chain.units.size() - 1)};
-  }
-
-  UnitRef PushUnit(uint64_t context_id, PendingReplay unit) {
-    auto [it, inserted] =
-        chain_of_.try_emplace(context_id, static_cast<uint32_t>(
-                                              plan_.chains.size()));
-    if (inserted) {
-      plan_.chains.push_back(ReplayChain{context_id, {}});
-      if (auto hint = unit_hints_.find(context_id); hint != unit_hints_.end()) {
-        plan_.chains.back().units.reserve(hint->second);
-      }
-    }
-    ReplayChain& chain = plan_.chains[it->second];
-    uint64_t start_lsn = unit.start_lsn;
-    chain.units.push_back(PlannedUnit{std::move(unit), {}, {}, start_lsn});
-    return UnitRef{it->second,
-                   static_cast<uint32_t>(chain.units.size() - 1)};
-  }
-
-  ReplayPlan& plan_;
-  const ReplayPlanInputs& inputs_;
-  std::map<uint64_t, uint32_t> chain_of_;  // context id -> chain index
-  std::map<uint64_t, size_t> unit_hints_;
-};
-
 // Salvage digestion: demote every chain with a gap strictly inside one of
 // its unit extents, then serialize the demoted units against each other
 // in global replay order via extra edges. A torn tail counts as a gap past
@@ -200,8 +78,8 @@ void DigestSalvage(ReplayPlan& plan, const std::vector<SkippedRange>& gaps) {
   for (ReplayChain& chain : plan.chains) {
     for (const PlannedUnit& unit : chain.units) {
       for (const SkippedRange& gap : gaps) {
-        if (gap.from_lsn < unit.extent_end_lsn &&
-            gap.to_lsn > unit.replay.start_lsn) {
+        if (gap.from_lsn < unit.extent_end_lsn() &&
+            gap.to_lsn > unit.start_lsn()) {
           chain.parallel_eligible = false;
         }
       }
@@ -212,8 +90,7 @@ void DigestSalvage(ReplayPlan& plan, const std::vector<SkippedRange>& gaps) {
   for (uint32_t c = 0; c < plan.chains.size(); ++c) {
     if (plan.chains[c].parallel_eligible) continue;
     for (uint32_t u = 0; u < plan.chains[c].units.size(); ++u) {
-      demoted.emplace_back(plan.chains[c].units[u].replay.order,
-                           UnitRef{c, u});
+      demoted.emplace_back(plan.chains[c].units[u].order(), UnitRef{c, u});
     }
   }
   std::sort(demoted.begin(), demoted.end());
@@ -225,10 +102,21 @@ void DigestSalvage(ReplayPlan& plan, const std::vector<SkippedRange>& gaps) {
         plan.chains[target.chain].units[target.index].deps;
     if (std::find(deps.begin(), deps.end(), source) != deps.end()) continue;
     deps.push_back(source);
-    plan.chains[source.chain].units[source.index].dependents.push_back(
-        target);
     ++plan.serialization_edges;
   }
+}
+
+// Whether `rec` opens a unit of a context whose origin has order
+// `origin_order` (kInvalidLsn: planned without a below-origin cut). Only
+// the origin creation record opens one — newer duplicates (re-creations
+// appended by a previous recovery) replay nothing — and only incoming
+// calls from the origin on.
+bool OpensUnit(const OrderedRecord& rec, uint64_t origin_order) {
+  if (std::holds_alternative<CreationRecord>(rec.record)) {
+    return origin_order != kInvalidLsn && rec.order == origin_order;
+  }
+  return std::holds_alternative<IncomingCallRecord>(rec.record) &&
+         (origin_order == kInvalidLsn || rec.order >= origin_order);
 }
 
 // Order of the record at an LSN; kInvalidLsn when it is unreadable.
@@ -285,16 +173,15 @@ void DeriveOrigins(OrderedLogCursor& cursor, uint64_t start_order,
 
 ReplayPlan BuildReplayPlan(OrderedLogCursor& cursor,
                            const ReplayPlanInputs& inputs) {
-  ReplayPlan plan;
-  PlanBuilder builder(plan, inputs);
+  ReplayPlanner planner;
   while (std::optional<OrderedRecord> rec = cursor.Next()) {
-    builder.Add(std::move(*rec));
+    planner.Add(std::move(*rec));
   }
-  DigestSalvage(plan, cursor.gaps());
-  return plan;
+  return std::move(planner).Finish(cursor.gaps(), inputs);
 }
 
 void ReplayPlanner::Add(OrderedRecord rec) {
+  ++records_added_;
   uint64_t context_id = 0;
   if (const auto* creation = std::get_if<CreationRecord>(&rec.record)) {
     context_id = creation->context_id;
@@ -305,42 +192,80 @@ void ReplayPlanner::Add(OrderedRecord rec) {
                  std::get_if<ReplyReceivedRecord>(&rec.record)) {
     context_id = reply->context_id;
   } else {
+    // Other record types were pass 1's business.
     const auto* state = std::get_if<ContextStateRecord>(&rec.record);
-    if (state != nullptr && rec.order >= cut_) kept_.erase(state->context_id);
+    if (state != nullptr && rec.order >= cut_) held_.erase(state->context_id);
     return;
   }
-  if (rec.order < cut_) {
-    below_cut_.push_back(std::move(rec));
-  } else {
-    kept_[context_id].push_back(std::move(rec));
-  }
+  Held& held = held_[context_id];
+  (rec.order < cut_ ? held.backfill : held.kept).push_back(std::move(rec));
 }
 
 ReplayPlan ReplayPlanner::Finish(const std::vector<SkippedRange>& gaps,
                                  const ReplayPlanInputs& inputs) && {
   ReplayPlan plan;
-  PlanBuilder builder(plan, inputs);
-  for (const auto& [context_id, records] : kept_) {
-    builder.HintUnits(
-        context_id,
-        std::count_if(records.begin(), records.end(), [](const auto& rec) {
-          return !std::holds_alternative<ReplyReceivedRecord>(rec.record);
-        }));
-  }
-  // The back-fill first, then each context's records, which ascend by
-  // order, merged back into log order; each is freed as the plan takes it
-  // over.
-  for (; !below_cut_.empty(); below_cut_.pop_front()) {
-    builder.Add(std::move(below_cut_.front()));
-  }
-  while (!kept_.empty()) {
-    auto next = kept_.begin();
-    for (auto it = std::next(kept_.begin()); it != kept_.end(); ++it) {
-      if (it->second.front().order < next->second.front().order) next = it;
+  plan.records_scanned = records_added_;
+  // Each context's records, which ascend by order, become its chain's
+  // units; a reply joins the context's open unit. Contexts without an
+  // origin are not planned.
+  for (auto it = held_.begin(); it != held_.end(); it = held_.erase(it)) {
+    auto origin = inputs.origin_orders.find(it->first);
+    if (origin == inputs.origin_orders.end()) continue;
+    ReplayChain chain{it->first, {}};
+    for (std::deque<OrderedRecord>* records :
+         {&it->second.backfill, &it->second.kept}) {
+      for (; !records->empty(); records->pop_front()) {
+        OrderedRecord& rec = records->front();
+        if (OpensUnit(rec, origin->second)) {
+          chain.units.emplace_back().records.push_back(std::move(rec));
+        } else if (std::holds_alternative<ReplyReceivedRecord>(rec.record) &&
+                   !chain.units.empty()) {
+          chain.units.back().records.push_back(std::move(rec));
+        }
+      }
     }
-    builder.Add(std::move(next->second.front()));
-    next->second.pop_front();
-    if (next->second.empty()) kept_.erase(next);
+    if (!chain.units.empty()) plan.chains.push_back(std::move(chain));
+  }
+  std::sort(plan.chains.begin(), plan.chains.end(),
+            [](const ReplayChain& a, const ReplayChain& b) {
+              return a.units.front().order() < b.units.front().order();
+            });
+
+  // Cross-chain edges: an incoming call issued by a local caller context
+  // depends on the caller's unit that was open at that point in the log —
+  // its last unit ordered below the call, whose execution produced it. The
+  // ClientKey's component id is the caller's context id; external clients
+  // and remote processes fail the machine/pid match and contribute no
+  // edge. Orders, not LSNs: composite LSNs of different shards compare by
+  // shard id.
+  std::map<uint64_t, uint32_t> chain_of;  // context id -> chain index
+  for (uint32_t c = 0; c < plan.chains.size(); ++c) {
+    chain_of[plan.chains[c].context_id] = c;
+  }
+  for (ReplayChain& chain : plan.chains) {
+    for (PlannedUnit& unit : chain.units) {
+      const auto* incoming =
+          std::get_if<IncomingCallRecord>(&unit.records.front().record);
+      if (incoming == nullptr) continue;
+      const ClientKey& caller = incoming->call_id.caller;
+      if (caller.machine != inputs.machine ||
+          caller.process_id != inputs.process_id ||
+          caller.component_id == chain.context_id) {
+        continue;
+      }
+      auto source = chain_of.find(caller.component_id);
+      if (source == chain_of.end()) continue;
+      const std::vector<PlannedUnit>& units =
+          plan.chains[source->second].units;
+      auto after = std::partition_point(
+          units.begin(), units.end(), [&unit](const PlannedUnit& u) {
+            return u.order() < unit.order();
+          });
+      if (after == units.begin()) continue;
+      unit.deps.push_back(UnitRef{
+          source->second, static_cast<uint32_t>(after - units.begin() - 1)});
+      ++plan.cross_edges;
+    }
   }
   DigestSalvage(plan, gaps);
   return plan;
@@ -372,13 +297,11 @@ ReplayPlan BuildReplayPlanFromRecords(const std::vector<OrderedRecord>& records,
                                       const std::vector<SkippedRange>& gaps,
                                       uint64_t start_order,
                                       const ReplayPlanInputs& inputs) {
-  ReplayPlan plan;
-  PlanBuilder builder(plan, inputs);
+  ReplayPlanner planner;
   for (const OrderedRecord& rec : records) {
-    if (rec.order >= start_order) builder.Add(rec);
+    if (rec.order >= start_order) planner.Add(rec);
   }
-  DigestSalvage(plan, gaps);
-  return plan;
+  return std::move(planner).Finish(gaps, inputs);
 }
 
 std::map<uint64_t, uint64_t> DeriveReplayOrigins(const LogView& log,

@@ -6,39 +6,43 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <variant>
 #include <vector>
 
-#include "recovery/replay.h"
 #include "wal/log_reader.h"
 #include "wal/log_record.h"
 #include "wal/merged_log_reader.h"
 
 namespace phoenix {
 
-// Log-analysis replay planning: one forward scan of the log in append order
-// (an OrderedLogCursor, whatever the shard layout) that partitions the message records into per-context replay *chains* and links
-// them with cross-chain dependency edges, so pass 2 of recovery can execute
-// independent chains as overlapping scheduler sessions instead of walking
-// the whole log serially (cf. dependency-aware parallel redo in Wu et al.
-// and Yao et al.; here the dependency unit is the paper's per-context
-// buffered replay call).
+// Log-analysis replay planning: the records of the log in append order
+// (an OrderedLogCursor, whatever the shard layout) are partitioned into
+// per-context replay *chains*, linked by cross-chain dependency edges, so
+// pass 2 of recovery can execute independent chains as overlapping
+// scheduler sessions instead of walking the whole log serially (cf.
+// dependency-aware parallel redo in Wu et al. and Yao et al.; here the
+// dependency unit is the paper's per-context buffered replay call).
 //
-// Chain model. A chain is one context's replay units in log order
-// (PendingReplay): the creation call, then one unit per logged incoming
-// call, each with the reply feed of the outgoing calls it made. Units
-// within a chain are totally ordered (context state evolves sequentially);
-// that order is implicit and not represented as edges.
+// Chain model. A chain is one context's replay units in log order: the
+// creation call, then one unit per logged incoming call. A unit owns its
+// records: the creation or incoming-call record that opens it, then the
+// logged replies of the outgoing calls it made, which the replay engine
+// feeds back to the re-executed call in place (runtime/context.h's
+// ReplayFeed points into the unit). Units within a chain are totally
+// ordered (context state evolves sequentially); that order is implicit and
+// not represented as edges.
 //
 // Edge rule. When an incoming-call record of context B names a *local*
 // caller context A (the CallId's ClientKey carries machine / logical pid /
 // caller component id, and component id == the caller's context id), the
-// planner adds one edge from A's unit that was open at that point in the
-// log (the unit whose execution issued the call) to B's new unit. Edges
-// therefore always point from a smaller-order unit to a larger one —
-// the plan is a DAG by construction, and ascending order is a topological
-// order: the one-lane schedule (parallel_replay.h). Calls from external
-// clients or from remote processes add no edge: their effects reach this
-// log only through the records already in the chain.
+// planner adds one edge to B's new unit from A's unit that was open at
+// that point in the log: A's last unit ordered below the call, the unit
+// whose execution issued it. Edges therefore always point from a
+// smaller-order unit to a larger one — the plan is a DAG by construction,
+// and ascending order is a topological order: the one-lane schedule
+// (parallel_replay.h). Calls from external clients or from remote
+// processes add no edge: their effects reach this log only through the
+// records already in the chain.
 //
 // Salvage. When the scan had to salvage-skip unreadable ranges (or the
 // tail is torn), the plan stays parallel per-chain instead of refusing
@@ -66,15 +70,25 @@ struct UnitRef {
 
 // One replay unit plus its cross-chain dependency edges.
 struct PlannedUnit {
-  PendingReplay replay;
+  // In log order: the creation or incoming-call record that opens the unit,
+  // then the ReplyReceivedRecords of the outgoing calls it made.
+  std::vector<OrderedRecord> records;
   // Cross-chain units that must replay before this one (edge sources).
   std::vector<UnitRef> deps;
-  // Reverse edges (edge targets), filled by the planner.
-  std::vector<UnitRef> dependents;
-  // LSN of the last record the scan attributed to this unit (the incoming /
-  // creation record itself when no reply followed). A salvage gap strictly
-  // inside [replay.start_lsn, extent_end_lsn] demotes the unit's chain.
-  uint64_t extent_end_lsn = 0;
+
+  bool is_creation() const {
+    return std::holds_alternative<CreationRecord>(records.front().record);
+  }
+  uint64_t start_lsn() const { return records.front().lsn; }
+  // Global replay order of the unit's first record: equal to start_lsn on a
+  // single log, the frame's global sequence number on a sharded WAL (where
+  // composite LSNs of different shards are not comparable). Every ordering
+  // decision — plan topological order, the replay engine's ready queue and
+  // its final phase — keys on this, never on start_lsn.
+  uint64_t order() const { return records.front().order; }
+  // LSN of the unit's last record. A salvage gap strictly inside
+  // [start_lsn, extent_end_lsn] demotes the unit's chain.
+  uint64_t extent_end_lsn() const { return records.back().lsn; }
 };
 
 // All replay units of one context, in log order.
@@ -88,9 +102,10 @@ struct ReplayChain {
 };
 
 struct ReplayPlan {
-  std::vector<ReplayChain> chains;  // ordered by first-unit start LSN
+  std::vector<ReplayChain> chains;  // ordered by first-unit order
   uint64_t cross_edges = 0;
-  // Records examined by the planning scan (recovery charges its scan cost).
+  // Records handed to the planner (a whole-scan recovery charges its scan
+  // cost by them).
   uint64_t records_scanned = 0;
   // Salvage accounting: the scan skipped unreadable ranges (or found a torn
   // tail), and how the per-chain eligibility check digested that.
@@ -134,45 +149,58 @@ struct ReplayPlanInputs {
   std::map<uint64_t, uint64_t> origin_orders;
 };
 
-// The planner: drains `cursor` (wal/merged_log_reader.h), planning every
-// record it yields, and digests the damage it reports as salvage gaps. Pure
-// analysis: never touches the clock, the process or any component.
-// Mid-scan damage does not abort planning: the scan salvages past it and
-// demotes only the chains whose unit extents the damage intersected.
+// Plans every record `cursor` (wal/merged_log_reader.h) yields, and digests
+// the damage it reports as salvage gaps. Pure analysis: never touches the
+// clock, the process or any component. Mid-scan damage does not abort
+// planning: the scan salvages past it and demotes only the chains whose
+// unit extents the damage intersected.
 ReplayPlan BuildReplayPlan(OrderedLogCursor& cursor,
                            const ReplayPlanInputs& inputs);
 
-// The planner pass 1 of crash recovery feeds (recovery_manager.h). Pass 1
-// reads the log from the checkpoint cut to the end and hands the planner
-// every record; once that read has fixed the replay origins, it reads the
-// records from the lowest origin up to the cut (the back-fill) and hands
-// those over too. Finish then plans the records exactly as BuildReplayPlan
-// plans the log from the lowest origin on: every back-filled record is
-// ordered below every kept one, so the back-fill goes first. Origins are
-// not known while the first read runs, so the records a plan is built from
-// (creations, incoming calls, received replies) are kept per context. A
+// The planner. Every plan is built by one: pass 1 of crash recovery
+// (recovery_manager.h) feeds one with a checkpoint cut, the whole-scan
+// entry points here feed one with none.
+//
+// With a cut, pass 1 reads the log from the cut to the end and hands the
+// planner every record; once that read has fixed the replay origins, it
+// reads the records from the lowest origin up to the cut (the back-fill)
+// and hands those over too. Every back-filled record is ordered below
+// every kept one, so Finish plans the records exactly as a planner without
+// a cut plans the log from the lowest origin on. Origins are not known
+// while the first read runs, so the records a plan is built from
+// (creations, incoming calls, received replies) are held per context. A
 // state record at or above the cut is pass 1's newest origin for its
 // context so far — pass 1 only ever moves an origin up from there — so
 // every earlier record of that context lies below the final origin and is
 // dropped on the spot, which keeps the records held close to what the plan
 // will hold. (A restore that falls back to an older origin outdates the
-// plan; recovery then plans again from a fresh scan.)
+// plan; recovery then plans again from a fresh scan, without a cut, where
+// a state record drops nothing.)
 class ReplayPlanner {
  public:
-  explicit ReplayPlanner(uint64_t cut) : cut_(cut) {}
+  // Without a cut every record counts as back-filled.
+  explicit ReplayPlanner(uint64_t cut = kInvalidLsn) : cut_(cut) {}
 
-  // A record pass 1 read: first those from the cut on, then the back-fill,
-  // each in log order.
+  // A record read for the plan: first those from the cut on, then the
+  // back-fill, each in log order.
   void Add(OrderedRecord rec);
-  // Plans the kept records in log order against pass 1's final origins;
-  // `gaps` are both reads' salvage gaps (OrderedLogCursor::gaps()).
+  // Plans the held records against the final origins (inputs): each
+  // context's records become its chain's units, freed as they move, and
+  // each incoming call from a local context gets its edge. `gaps` are the
+  // reads' salvage gaps (OrderedLogCursor::gaps()).
   ReplayPlan Finish(const std::vector<SkippedRange>& gaps,
                     const ReplayPlanInputs& inputs) &&;
 
  private:
+  // One context's records, each part in log order.
+  struct Held {
+    std::deque<OrderedRecord> backfill;  // below the cut
+    std::deque<OrderedRecord> kept;      // from the cut on
+  };
+
   uint64_t cut_;
-  std::deque<OrderedRecord> below_cut_;  // the back-fill, in log order
-  std::map<uint64_t, std::deque<OrderedRecord>> kept_;  // per context
+  uint64_t records_added_ = 0;
+  std::map<uint64_t, Held> held_;  // per context
 };
 
 // The plan a crash recovery of `log`'s stable image would replay right now,
@@ -186,7 +214,7 @@ class ReplayPlanner {
 ReplayPlan PlanLogReplay(const LogManager& log, ReplayPlanInputs inputs);
 
 // Entry points over a single log image or an already-merged record stream,
-// onto the same planner and origin rules.
+// onto the same planner (without a cut) and origin rules.
 //
 // Single log from `scan_start`; every origin's order is its LSN, so
 // inputs.origin_orders is ignored.

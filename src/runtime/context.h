@@ -19,15 +19,11 @@ namespace phoenix {
 class Process;
 
 // Outgoing replies fed to a context while one of its logged calls is being
-// replayed: reply value per outgoing-call sequence number, harvested from
-// the log by the recovery manager.
-struct ReplayFeed {
-  std::map<uint64_t, ReplyReceivedRecord> replies;
-  // Set once a needed reply is missing: replay has caught up with the crash
-  // point and execution continues live (outgoing calls really go out, with
-  // the same deterministically derived IDs).
-  bool went_live = false;
-};
+// replayed: the replies its execution received, in log order, viewed in
+// place in the replay plan's unit (recovery/replay_plan.h). An outgoing
+// call is answered by the last one with its sequence number; a call with
+// none goes out live.
+using ReplayFeed = std::vector<const ReplyReceivedRecord*>;
 
 // §3.5 multi-call bookkeeping: which servers the current method execution
 // has already called, so repeat calls to the same server force again.
@@ -108,10 +104,11 @@ class Context {
   // Re-executes a logged incoming call with outgoing calls answered from
   // `feed`. The reply is returned to the recovery manager, never sent
   // (condition 5). The last-call table is updated as in normal execution.
-  Result<ReplyMessage> ReplayIncoming(const CallMessage& msg, ReplayFeed feed);
+  Result<ReplyMessage> ReplayIncoming(const CallMessage& msg,
+                                     const ReplayFeed& feed);
 
   // Re-runs the creation call (Initialize) the same way.
-  Status ReplayCreation(const ArgList& ctor_args, ReplayFeed feed);
+  Status ReplayCreation(const ArgList& ctor_args, const ReplayFeed& feed);
 
   // Runs the parent's Initialize() inside this context (busy flag set,
   // context pushed on the execution stack) — the "creation call".
@@ -208,7 +205,7 @@ class Context {
   bool parent_initialized_ = false;
   bool creation_self_contained_ = false;
   bool replaying_ = false;
-  ReplayFeed* replay_feed_ = nullptr;
+  const ReplayFeed* replay_feed_ = nullptr;
   MultiCallTracker multi_call_;
 };
 

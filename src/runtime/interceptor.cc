@@ -2,6 +2,8 @@
 // the client-side outgoing path of a context, implementing Algorithms 1-5,
 // duplicate elimination, retry-until-response, and replay suppression.
 
+#include <algorithm>
+
 #include "common/macros.h"
 #include "common/strings.h"
 #include "core/retry.h"
@@ -419,11 +421,15 @@ Result<Value> Context::OutgoingCall(Component* from,
   }
 
   // Replay suppression (Figure 5): answer from the log when we have the
-  // logged reply for this sequence number.
+  // logged reply for this sequence number. Without one, replay has caught
+  // up and this call goes out for real (same ID — the server eliminates the
+  // duplicate if it saw it before).
   if (replaying_ && replay_feed_ != nullptr) {
-    auto it = replay_feed_->replies.find(seq);
-    if (it != replay_feed_->replies.end()) {
-      const ReplyReceivedRecord& rec = it->second;
+    auto it = std::find_if(
+        replay_feed_->rbegin(), replay_feed_->rend(),
+        [seq](const ReplyReceivedRecord* rec) { return rec->seq == seq; });
+    if (it != replay_feed_->rend()) {
+      const ReplyReceivedRecord& rec = **it;
       // Condition 5: the send is suppressed, the logged reply is returned.
       sim->metrics()
           .GetCounter("phoenix.intercept.replay_suppressed",
@@ -436,9 +442,6 @@ Result<Value> Context::OutgoingCall(Component* from,
       }
       return rec.reply;
     }
-    // No logged reply: replay has caught up; this call goes out for real
-    // (same ID — the server eliminates the duplicate if it saw it before).
-    replay_feed_->went_live = true;
   }
 
   if (dec.write) {
@@ -577,7 +580,7 @@ Result<ReplyMessage> Context::SendWithRetry(CallMessage msg) {
 // --- replay ----------------------------------------------------------------
 
 Result<ReplyMessage> Context::ReplayIncoming(const CallMessage& msg,
-                                             ReplayFeed feed) {
+                                             const ReplayFeed& feed) {
   Process* proc = process_;
   Process::IncarnationPin pin(proc);
   Simulation* sim = proc->simulation();
@@ -633,7 +636,8 @@ Status Context::RunInitialize(const ArgList& ctor_args) {
   return status;
 }
 
-Status Context::ReplayCreation(const ArgList& ctor_args, ReplayFeed feed) {
+Status Context::ReplayCreation(const ArgList& ctor_args,
+                               const ReplayFeed& feed) {
   Simulation* sim = process_->simulation();
   sim->clock().AdvanceMs(sim->costs().recovery_replay_call_ms);
   replaying_ = true;

@@ -550,9 +550,9 @@ std::string Describe(const ReplayPlan& plan) {
   for (const ReplayChain& chain : plan.chains) {
     out += StrCat("ctx ", chain.context_id, ":");
     for (const PlannedUnit& unit : chain.units) {
-      out += StrCat(" [", unit.replay.order,
-                    unit.replay.is_creation ? " create" : "",
-                    " replies=", unit.replay.feed.replies.size());
+      out += StrCat(" [", unit.order(),
+                    unit.is_creation() ? " create" : "",
+                    " replies=", unit.records.size() - 1);
       for (const UnitRef& dep : unit.deps) {
         out += StrCat(" <-", dep.chain, ".", dep.index);
       }
@@ -619,7 +619,7 @@ TEST(PassOnePlanTest, MatchesPlanLogReplayAcrossACheckpointCut) {
     bool below_cut = false;
     for (const ReplayChain& chain : plan.chains) {
       for (const PlannedUnit& unit : chain.units) {
-        below_cut = below_cut || unit.replay.order < cut;
+        below_cut = below_cut || unit.order() < cut;
       }
     }
     EXPECT_TRUE(below_cut) << shards << " shard(s)";

@@ -21,6 +21,7 @@
 #include "recovery/checkpoint_manager.h"
 #include "recovery/replay_plan.h"
 #include "tests/test_components.h"
+#include "wal/shard_router.h"
 
 namespace phoenix {
 namespace {
@@ -69,9 +70,9 @@ std::string Describe(const ReplayPlan& plan) {
   for (const ReplayChain& chain : plan.chains) {
     out += StrCat("ctx ", chain.context_id, ":");
     for (const PlannedUnit& unit : chain.units) {
-      out += StrCat(" [lsn ", unit.replay.start_lsn,
-                    unit.replay.is_creation ? " create" : "",
-                    " replies=", unit.replay.feed.replies.size());
+      out += StrCat(" [lsn ", unit.start_lsn(),
+                    unit.is_creation() ? " create" : "",
+                    " replies=", unit.records.size() - 1);
       for (const UnitRef& dep : unit.deps) {
         out += StrCat(" <-", dep.chain, ".", dep.index);
       }
@@ -132,24 +133,27 @@ TEST_F(ReplayPlanTest, PlanIsAnAcyclicForwardDag) {
     for (size_t u = 0; u < chain.units.size(); ++u) {
       const PlannedUnit& unit = chain.units[u];
       if (u > 0) {
-        EXPECT_GT(unit.replay.start_lsn,
-                  chain.units[u - 1].replay.start_lsn);
+        EXPECT_GT(unit.start_lsn(),
+                  chain.units[u - 1].start_lsn());
       }
       for (const UnitRef& dep : unit.deps) {
-        EXPECT_LT(plan.unit(dep).replay.start_lsn, unit.replay.start_lsn);
+        EXPECT_LT(plan.unit(dep).start_lsn(), unit.start_lsn());
       }
     }
   }
 
   // Kahn's algorithm over chain order + cross edges consumes every unit.
   std::map<std::pair<uint32_t, uint32_t>, size_t> indegree;
+  std::map<UnitRef, std::vector<UnitRef>> dependents;  // reversed deps
   std::vector<UnitRef> ready;
   size_t total = 0;
   for (uint32_t c = 0; c < plan.chains.size(); ++c) {
     for (uint32_t u = 0; u < plan.chains[c].units.size(); ++u) {
-      size_t in = plan.chains[c].units[u].deps.size() + (u > 0 ? 1 : 0);
+      const std::vector<UnitRef>& deps = plan.chains[c].units[u].deps;
+      size_t in = deps.size() + (u > 0 ? 1 : 0);
       indegree[{c, u}] = in;
       if (in == 0) ready.push_back(UnitRef{c, u});
+      for (const UnitRef& dep : deps) dependents[dep].push_back({c, u});
       ++total;
     }
   }
@@ -164,57 +168,77 @@ TEST_F(ReplayPlanTest, PlanIsAnAcyclicForwardDag) {
     if (ref.index + 1 < plan.chains[ref.chain].units.size()) {
       release(UnitRef{ref.chain, ref.index + 1});
     }
-    for (const UnitRef& dependent : plan.unit(ref).dependents) {
-      release(dependent);
-    }
+    for (const UnitRef& dependent : dependents[ref]) release(dependent);
   }
   EXPECT_EQ(popped, total);
 }
 
 TEST_F(ReplayPlanTest, CrossContextCallsProduceEdgesAndReplyFeeds) {
-  BuildWorkload(sim_.get(), proc_);
-  ReplayPlan plan = PlanFor(*proc_);
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE(StrCat(shards, " shard(s)"));
+    RuntimeOptions options;
+    options.wal_shards = shards;
+    SimulationParams params;
+    params.seed = 42;
+    Simulation sim(options, params);
+    RegisterTestComponents(sim.factories());
+    Process& proc = sim.AddMachine("alpha").CreateProcess();
+    BuildWorkload(&sim, &proc);
+    ReplayPlan plan = PlanFor(proc);
 
-  uint64_t mid_ctx = proc_->FindContextOfComponent("mid")->id();
-  uint64_t leaf_ctx = proc_->FindContextOfComponent("leaf")->id();
-  uint64_t solo_ctx = proc_->FindContextOfComponent("solo")->id();
-  const ReplayChain* mid_chain = nullptr;
-  const ReplayChain* leaf_chain = nullptr;
-  const ReplayChain* solo_chain = nullptr;
-  std::map<uint64_t, uint32_t> chain_of;
-  for (uint32_t c = 0; c < plan.chains.size(); ++c) {
-    chain_of[plan.chains[c].context_id] = c;
-    if (plan.chains[c].context_id == mid_ctx) mid_chain = &plan.chains[c];
-    if (plan.chains[c].context_id == leaf_ctx) leaf_chain = &plan.chains[c];
-    if (plan.chains[c].context_id == solo_ctx) solo_chain = &plan.chains[c];
-  }
-  ASSERT_NE(mid_chain, nullptr);
-  ASSERT_NE(leaf_chain, nullptr);
-  ASSERT_NE(solo_chain, nullptr);
+    uint64_t mid_ctx = proc.FindContextOfComponent("mid")->id();
+    uint64_t leaf_ctx = proc.FindContextOfComponent("leaf")->id();
+    uint64_t solo_ctx = proc.FindContextOfComponent("solo")->id();
+    const ReplayChain* mid_chain = nullptr;
+    const ReplayChain* leaf_chain = nullptr;
+    const ReplayChain* solo_chain = nullptr;
+    for (const ReplayChain& chain : plan.chains) {
+      if (chain.context_id == mid_ctx) mid_chain = &chain;
+      if (chain.context_id == leaf_ctx) leaf_chain = &chain;
+      if (chain.context_id == solo_ctx) solo_chain = &chain;
+    }
+    ASSERT_NE(mid_chain, nullptr);
+    ASSERT_NE(leaf_chain, nullptr);
+    ASSERT_NE(solo_chain, nullptr);
 
-  // Each of leaf's three Add units depends on the mid unit whose Bump issued
-  // the call — an edge at every cross-context call boundary.
-  size_t leaf_deps_on_mid = 0;
-  for (const PlannedUnit& unit : leaf_chain->units) {
-    for (const UnitRef& dep : unit.deps) {
-      if (plan.chains[dep.chain].context_id == mid_ctx) {
+    // Each of leaf's three Add units depends on the mid unit whose Bump
+    // issued the call — an edge at every cross-context call boundary. That
+    // unit is mid's last one ordered below the call. On a sharded log mid
+    // and leaf sit on different shards, and composite LSNs of different
+    // shards compare by shard id (every mid LSN above every leaf LSN on two
+    // shards, below it on four): only the replay order finds the unit.
+    size_t leaf_deps_on_mid = 0;
+    for (const PlannedUnit& unit : leaf_chain->units) {
+      for (const UnitRef& dep : unit.deps) {
+        if (plan.chains[dep.chain].context_id != mid_ctx) continue;
         ++leaf_deps_on_mid;
-        EXPECT_FALSE(plan.unit(dep).replay.is_creation);
+        const PlannedUnit& source = plan.unit(dep);
+        EXPECT_FALSE(source.is_creation());
+        EXPECT_LT(source.order(), unit.order());
+        if (dep.index + 1 < mid_chain->units.size()) {
+          EXPECT_GT(mid_chain->units[dep.index + 1].order(), unit.order());
+        }
+        if (shards > 1) {
+          EXPECT_NE(ShardOfLsn(source.start_lsn()),
+                    ShardOfLsn(unit.start_lsn()));
+        }
       }
     }
-  }
-  EXPECT_EQ(leaf_deps_on_mid, 3u);
+    EXPECT_EQ(leaf_deps_on_mid, 3u);
 
-  // The reply boundary: each Bump unit buffered exactly the one downstream
-  // reply its execution consumed, keyed by outgoing seq.
-  for (const PlannedUnit& unit : mid_chain->units) {
-    if (unit.replay.is_creation) continue;
-    EXPECT_EQ(unit.replay.feed.replies.size(), 1u);
-  }
+    // The reply boundary: each Bump unit holds exactly the one downstream
+    // reply its execution consumed, after its incoming call.
+    for (const PlannedUnit& unit : mid_chain->units) {
+      if (unit.is_creation()) continue;
+      ASSERT_EQ(unit.records.size(), 2u);
+      EXPECT_TRUE(std::holds_alternative<ReplyReceivedRecord>(
+          unit.records[1].record));
+    }
 
-  // The independent counter never waits on another chain.
-  for (const PlannedUnit& unit : solo_chain->units) {
-    EXPECT_TRUE(unit.deps.empty());
+    // The independent counter never waits on another chain.
+    for (const PlannedUnit& unit : solo_chain->units) {
+      EXPECT_TRUE(unit.deps.empty());
+    }
   }
 }
 
@@ -285,9 +309,9 @@ uint64_t FindRecordBetween(Process& proc, uint64_t start, uint64_t end) {
 uint64_t FindAnyInteriorLsn(Process& proc, const ReplayPlan& plan) {
   for (const ReplayChain& chain : plan.chains) {
     for (const PlannedUnit& unit : chain.units) {
-      if (unit.extent_end_lsn <= unit.replay.start_lsn) continue;
-      uint64_t lsn = FindRecordBetween(proc, unit.replay.start_lsn,
-                                       unit.extent_end_lsn);
+      if (unit.extent_end_lsn() <= unit.start_lsn()) continue;
+      uint64_t lsn = FindRecordBetween(proc, unit.start_lsn(),
+                                       unit.extent_end_lsn());
       if (lsn != kInvalidLsn) return lsn;
     }
   }
@@ -602,7 +626,8 @@ ReplayPlan TwoChainPlan() {
     c.context_id = context_id;
     for (uint64_t order : orders) {
       PlannedUnit unit;
-      unit.replay.order = order;
+      unit.records.push_back(OrderedRecord{
+          .lsn = order, .order = order, .shard = 0, .record = {}});
       c.units.push_back(std::move(unit));
     }
     return c;

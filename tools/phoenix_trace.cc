@@ -312,7 +312,7 @@ int Run(const Options& opts) {
             note += StrCat("  <- chain ", dep.chain, " unit ", dep.index);
           }
           note += "]";
-          annotations[unit.replay.start_lsn] = std::move(note);
+          annotations[unit.start_lsn()] = std::move(note);
         }
       }
       double unit_ms = proc.simulation()->costs().recovery_replay_call_ms;
