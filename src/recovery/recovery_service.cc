@@ -9,6 +9,7 @@
 #include "runtime/process.h"
 #include "runtime/simulation.h"
 #include "serde/codec.h"
+#include "wal/log_reader.h"
 #include "wal/merged_log_reader.h"
 
 namespace phoenix {
@@ -96,6 +97,22 @@ Status RecoveryService::EnsureProcessAlive(uint32_t pid) {
   return SuperviseRecovery(pid, process);
 }
 
+void RotNewestStateRecord(StableStorage& storage, const LogManager& log) {
+  std::optional<OrderedRecord> newest;
+  OrderedLogCursor cursor(log, log.head_order());
+  while (std::optional<OrderedRecord> rec = cursor.Next()) {
+    if (std::holds_alternative<ContextStateRecord>(rec->record)) {
+      newest = std::move(rec);
+    }
+  }
+  if (!newest.has_value()) return;
+  uint64_t payload = FramePayloadLsn(log.ShardStableView(newest->shard),
+                                     LocalOfLsn(newest->lsn))
+                         .value();
+  storage.CorruptLog(log.shard_log_name(newest->shard), payload,
+                     /*flip_count=*/2);
+}
+
 void RecoveryService::ApplyRecoveryAttacks(Process* process,
                                            uint64_t attempt) {
   Simulation* sim = machine_->simulation();
@@ -109,24 +126,9 @@ void RecoveryService::ApplyRecoveryAttacks(Process* process,
       case RecoveryAttack::kCorruptWellKnownFile:
         sim->storage().CorruptFile(log_name + ".wkf", 0, /*flip_count=*/2);
         break;
-      case RecoveryAttack::kCorruptNewestStateRecord: {
-        // Newest by append order: on a sharded WAL the bit flips land in
-        // the shard file holding the gsn-newest state record.
-        LogManager& log = process->log();
-        std::optional<OrderedRecord> newest;
-        OrderedLogCursor cursor(log, log.head_order());
-        while (std::optional<OrderedRecord> rec = cursor.Next()) {
-          if (std::holds_alternative<ContextStateRecord>(rec->record)) {
-            newest = std::move(rec);
-          }
-        }
-        if (newest.has_value()) {
-          sim->storage().CorruptLog(log.shard_log_name(newest->shard),
-                                    LocalOfLsn(newest->lsn) + 8,
-                                    /*flip_count=*/2);
-        }
+      case RecoveryAttack::kCorruptNewestStateRecord:
+        RotNewestStateRecord(sim->storage(), process->log());
         break;
-      }
       case RecoveryAttack::kTearStableTail:
         process->InjectTornTail(24);
         break;

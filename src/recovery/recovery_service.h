@@ -9,8 +9,16 @@
 
 namespace phoenix {
 
+class LogManager;
 class Machine;
 class Process;
+class StableStorage;
+
+// Rots the newest readable state record (in append order; on a sharded log
+// in whichever shard file holds it): two bit flips in its payload, past the
+// frame header. A storage attack between recovery attempts, and the chaos
+// engine's mid-run bit rot.
+void RotNewestStateRecord(StableStorage& storage, const LogManager& log);
 
 // The per-machine recovery service (Figure 4 / §2.4). Processes hosting
 // persistent components register at start; the service assigns their

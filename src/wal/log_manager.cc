@@ -2,6 +2,7 @@
 
 #include "common/macros.h"
 #include "common/strings.h"
+#include "wal/frame_codec.h"
 
 namespace phoenix {
 
@@ -44,7 +45,7 @@ void LogManager::RecoverNextGsn() {
 uint64_t LogManager::Append(const LogRecord& record) {
   uint32_t shard = router_.ShardForRecord(record);
   Encoder enc;
-  if (sharded()) enc.PutU64(next_gsn_++);  // gsn prefix, inside the frame CRC
+  if (sharded()) PutGsnPrefix(next_gsn_++, enc);  // inside the frame CRC
   EncodeLogRecord(record, enc);
   clock_->AdvanceMs(costs_->log_append_ms);
   uint64_t local = shard_writer(shard).AppendPayload(enc.buffer());

@@ -31,11 +31,12 @@ namespace phoenix {
 // records to one shard (wal/shard_router.h), and an LSN is composite (shard
 // id in the top 16 bits), so on shard 0 it is the plain byte offset.
 //
-// This class alone decides the frame format. With N > 1 every frame payload
-// starts with a global sequence number, so readers can k-way merge the
-// shards back into append order; with N = 1 frames carry no prefix and a
-// record's order is its LSN. The shard images it hands out (LogView) carry
-// that format, and every reader reads an image by it.
+// This class alone decides the frame format (wal/frame_codec.h). With N > 1
+// every frame payload starts with a global sequence number (an absolute
+// varint), so readers can k-way merge the shards back into append order;
+// with N = 1 frames carry no prefix and a record's order is its LSN. The
+// shard images it hands out (LogView) carry that format, and every reader
+// reads an image by it.
 class LogManager {
  public:
   // `log_name` is the durable name, e.g. "machineA/proc1.log"; the

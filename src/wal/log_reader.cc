@@ -1,59 +1,36 @@
 #include "wal/log_reader.h"
 
-#include "common/crc32c.h"
 #include "common/macros.h"
+#include "wal/frame_codec.h"
 
 namespace phoenix {
 namespace {
 
-uint32_t LoadU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-uint64_t LoadU64(const uint8_t* p) {
-  return static_cast<uint64_t>(LoadU32(p)) |
-         static_cast<uint64_t>(LoadU32(p + 4)) << 32;
-}
-
-// Size of the global-sequence-number prefix inside sharded frame payloads.
-constexpr size_t kGsnPrefixBytes = 8;
-
-// The one frame decoder. A frame is the 4-byte payload length, the 4-byte
-// CRC of the payload, then the payload; a gsn-prefixed payload opens with
-// the 8-byte global sequence number, inside the CRC. The frame at `lsn` is
-// readable when it lies within the image, its CRC matches, a prefixed
-// payload holds the prefix, and the record decodes.
+// The one frame decoder (the format is wal/frame_codec.h). The frame at
+// `lsn` is readable when its header and payload lie within the image, its
+// CRC matches, a gsn-prefixed payload opens with a whole gsn varint, and
+// the record decodes. On success a non-null `end_lsn` gets the LSN one past
+// the frame.
 Result<ParsedRecord> DecodeFrameAt(const LogView& view, bool gsn_prefix,
-                                   uint64_t lsn) {
+                                   uint64_t lsn, uint64_t* end_lsn = nullptr) {
   const std::vector<uint8_t>& log = *view.bytes;
   if (lsn < view.base) {
     return Status::Corruption("lsn before truncated log head");
   }
   uint64_t rel = lsn - view.base;
-  if (rel + 8 > log.size()) return Status::Corruption("lsn out of range");
-  uint32_t len = LoadU32(&log[rel]);
-  uint32_t crc = LoadU32(&log[rel + 4]);
-  if (rel + 8 + len > log.size()) {
-    return Status::Corruption("record extends past end of log");
-  }
-  // Not &log[rel + 8]: with len == 0 that is one past the end.
-  const uint8_t* payload = log.data() + rel + 8;
-  if (Crc32c(payload, len) != crc) {
-    return Status::Corruption("record crc mismatch");
-  }
+  if (rel >= log.size()) return Status::Corruption("lsn out of range");
+  PHX_ASSIGN_OR_RETURN(FrameView frame,
+                       DecodeFrame(log.data() + rel, log.size() - rel));
+  const uint8_t* payload = frame.payload;
+  uint32_t len = frame.payload_len;
   ParsedRecord out;
   out.lsn = lsn;
   out.order = lsn;
   if (gsn_prefix) {
-    if (len < kGsnPrefixBytes) {
-      return Status::Corruption("sharded frame too short for gsn prefix");
-    }
-    out.order = LoadU64(payload);
-    payload += kGsnPrefixBytes;
-    len -= kGsnPrefixBytes;
+    PHX_ASSIGN_OR_RETURN(out.order, TakeGsnPrefix(&payload, &len));
   }
   PHX_ASSIGN_OR_RETURN(out.record, DecodeLogRecord(payload, len));
+  if (end_lsn != nullptr) *end_lsn = lsn + frame.size();
   return out;
 }
 
@@ -72,9 +49,11 @@ std::optional<ParsedRecord> LogReader::Next() {
   uint64_t end = view_.base + view_.bytes->size();
   for (;;) {
     if (pos_ == end) return std::nullopt;  // clean end
-    Result<ParsedRecord> frame = DecodeFrameAt(view_, gsn_prefix_, pos_);
+    uint64_t frame_end = 0;
+    Result<ParsedRecord> frame =
+        DecodeFrameAt(view_, gsn_prefix_, pos_, &frame_end);
     if (frame.ok()) {
-      pos_ += 8 + LoadU32(&(*view_.bytes)[pos_ - view_.base]);
+      pos_ = frame_end;
       ++records_read_;
       return std::move(frame).value();
     }
@@ -82,7 +61,8 @@ std::optional<ParsedRecord> LogReader::Next() {
       // Resync: the first later offset where a whole frame validates is
       // where parsing resumes; everything in between is unreadable.
       bool resynced = false;
-      for (uint64_t cand = pos_ + 1; cand + 8 <= end; ++cand) {
+      for (uint64_t cand = pos_ + 1; cand + kMinFrameHeaderBytes <= end;
+           ++cand) {
         if (DecodeFrameAt(view_, gsn_prefix_, cand).ok()) {
           skipped_ranges_.push_back(SkippedRange{pos_, cand});
           skipped_bytes_ += cand - pos_;
@@ -109,6 +89,17 @@ Result<LogRecord> ReadRecordAt(const LogView& view, uint64_t lsn,
 
 Result<LogRecord> ReadRecordAt(const std::vector<uint8_t>& log, uint64_t lsn) {
   return ReadRecordAt(LogView{&log, 0}, lsn);
+}
+
+Result<uint64_t> FramePayloadLsn(const LogView& view, uint64_t lsn) {
+  const std::vector<uint8_t>& log = *view.bytes;
+  if (lsn < view.base || lsn - view.base >= log.size()) {
+    return Status::Corruption("lsn out of range");
+  }
+  uint64_t rel = lsn - view.base;
+  PHX_ASSIGN_OR_RETURN(FrameView frame,
+                       DecodeFrame(log.data() + rel, log.size() - rel));
+  return lsn + frame.header_size;
 }
 
 }  // namespace phoenix

@@ -56,17 +56,20 @@ struct SkippedRange {
   friend bool operator==(const SkippedRange&, const SkippedRange&) = default;
 };
 
-// Sequential scanner over a log image, reading frames by the image's format
-// (LogView). Stops cleanly at end-of-log; stops and sets tail_torn() at a
-// truncated frame or CRC mismatch — a torn tail write from the crash, which
+// Sequential scanner over a log image, reading frames (wal/frame_codec.h:
+// a varint payload length, the payload's CRC32C, the payload) by the
+// image's format (LogView). Stops cleanly at end-of-log; stops and sets
+// tail_torn() at a frame whose header or payload is cut by the end of the
+// image or whose CRC mismatches — a torn tail write from the crash, which
 // recovery treats as the end of the log.
 //
 // In salvage mode (EnableSalvage) a bad frame mid-log does not end the scan:
-// the reader searches forward for the next offset where a frame's length,
-// CRC and decode all validate, records the unreadable bytes as a
-// SkippedRange, and continues from there. Only when no later frame validates
-// is the tail considered torn. Frames are CRC-protected, so a false resync
-// requires a 32-bit CRC collision on decodable bytes.
+// the reader searches forward, byte by byte, for the next offset where a
+// frame's length, CRC, gsn prefix and decode all validate, records the
+// unreadable bytes as a SkippedRange, and continues from there. Only when no
+// later frame validates is the tail considered torn. Frames are
+// CRC-protected, so a false resync requires a 32-bit CRC collision on
+// decodable bytes.
 class LogReader {
  public:
   // The image must outlive the reader. `start_lsn` is where scanning begins
@@ -123,6 +126,12 @@ class LogReader {
 Result<LogRecord> ReadRecordAt(const LogView& view, uint64_t lsn,
                                uint64_t* order_out = nullptr);
 Result<LogRecord> ReadRecordAt(const std::vector<uint8_t>& log, uint64_t lsn);
+
+// LSN of the payload of the frame that starts at `lsn`, just past its
+// variable-length header: where a test or a fault injector rots a record's
+// bytes and leaves its header intact. Corruption if no intact frame starts
+// there.
+Result<uint64_t> FramePayloadLsn(const LogView& view, uint64_t lsn);
 
 }  // namespace phoenix
 

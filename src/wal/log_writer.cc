@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "common/crc32c.h"
 #include "common/strings.h"
+#include "wal/frame_codec.h"
 
 namespace phoenix {
 
@@ -25,20 +25,12 @@ void LogWriter::BindObs(obs::MetricsRegistry* metrics, obs::Tracer* tracer,
 }
 
 uint64_t LogWriter::AppendPayload(const std::vector<uint8_t>& payload) {
-  if (buffer_.size() + payload.size() + 8 > buffer_capacity_ &&
-      !buffer_.empty()) {
+  size_t frame_size = FrameHeaderSize(payload.size()) + payload.size();
+  if (buffer_.size() + frame_size > buffer_capacity_ && !buffer_.empty()) {
     Force(ForcePoint::kBufferFull);
   }
   uint64_t lsn = next_lsn();
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  uint32_t crc = Crc32c(payload.data(), payload.size());
-  for (int i = 0; i < 4; ++i) {
-    buffer_.push_back(static_cast<uint8_t>(len >> (8 * i)));
-  }
-  for (int i = 0; i < 4; ++i) {
-    buffer_.push_back(static_cast<uint8_t>(crc >> (8 * i)));
-  }
-  buffer_.insert(buffer_.end(), payload.begin(), payload.end());
+  AppendFrame(payload, &buffer_);
   ++num_appends_;
   if (metrics_ != nullptr) {
     metrics_->GetCounter("phoenix.log.appends", labels_).Increment();

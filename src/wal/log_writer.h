@@ -29,8 +29,9 @@ struct ForceMark {
 // drops the buffer: unforced records are gone, which is what the logging
 // disciplines of Section 3 are designed around.
 //
-// Frame format: [u32 payload_len][u32 crc32c(payload)][payload]. The LSN of
-// a record is the byte offset of its frame in the log.
+// Frame format (wal/frame_codec.h): [varint payload_len][u32 crc32c(payload)]
+// [payload], a 5-byte header for payloads under 128 bytes. The LSN of a
+// record is the byte offset of its frame in the log.
 class LogWriter {
  public:
   LogWriter(std::string log_name, StableStorage* storage, DiskModel* disk,

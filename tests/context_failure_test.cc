@@ -18,6 +18,7 @@ namespace phoenix {
 namespace {
 
 using phoenix::testing::ExecutionLog;
+using phoenix::testing::PayloadLsn;
 using phoenix::testing::RegisterTestComponents;
 
 constexpr uint32_t kShardCounts[] = {1, 2, 4};
@@ -210,7 +211,8 @@ TEST_F(ContextFailureTest, LostReplyLiveCallIsAnsweredByItsCallee) {
     }
   }
   ASSERT_NE(rotted, kInvalidLsn);
-  sim_->storage().CorruptLog(proc_->log_name(), rotted + 8,
+  sim_->storage().CorruptLog(proc_->log_name(),
+                             PayloadLsn(proc_->log(), rotted),
                              /*flip_count=*/2);
   int adds = ExecutionLog::Of("leaf.Add");
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/cost_model.h"
+#include "wal/frame_codec.h"
 #include "wal/log_dump.h"
 #include "wal/log_manager.h"
 #include "wal/log_reader.h"
@@ -38,6 +39,11 @@ class LogSalvageTest : public ::testing::Test {
 
   LogView View() { return LogView{&storage_.ReadLog(kLog), 0}; }
 
+  // The first payload byte of the frame at `lsn`, past its header.
+  uint64_t Payload(uint64_t lsn) {
+    return FramePayloadLsn(View(), lsn).value();
+  }
+
   static constexpr char kLog[] = "m/p1.log";
   StableStorage storage_;
   DiskModel disk_;
@@ -46,7 +52,7 @@ class LogSalvageTest : public ::testing::Test {
 
 TEST_F(LogSalvageTest, WithoutSalvageMidLogCorruptionLooksLikeTornTail) {
   std::vector<uint64_t> lsns = WriteRecords(5);
-  storage_.CorruptLog(kLog, lsns[2] + 8, 1);  // one payload byte of #2
+  storage_.CorruptLog(kLog, Payload(lsns[2]), 1);  // one payload byte of #2
 
   LogReader reader(View(), 0);
   int read = 0;
@@ -58,7 +64,7 @@ TEST_F(LogSalvageTest, WithoutSalvageMidLogCorruptionLooksLikeTornTail) {
 
 TEST_F(LogSalvageTest, SalvageSkipsCorruptRecordAndResyncs) {
   std::vector<uint64_t> lsns = WriteRecords(5);
-  storage_.CorruptLog(kLog, lsns[2] + 8, 1);
+  storage_.CorruptLog(kLog, Payload(lsns[2]), 1);
 
   LogReader reader(View(), 0);
   reader.EnableSalvage();
@@ -88,8 +94,8 @@ TEST_F(LogSalvageTest, CorruptFrameHeaderResyncsToo) {
 
 TEST_F(LogSalvageTest, ConsecutiveCorruptFramesMergeIntoOneRange) {
   std::vector<uint64_t> lsns = WriteRecords(5);
-  storage_.CorruptLog(kLog, lsns[1] + 8, 1);
-  storage_.CorruptLog(kLog, lsns[2] + 8, 1);
+  storage_.CorruptLog(kLog, Payload(lsns[1]), 1);
+  storage_.CorruptLog(kLog, Payload(lsns[2]), 1);
 
   LogReader reader(View(), 0);
   reader.EnableSalvage();
@@ -117,10 +123,12 @@ TEST_F(LogSalvageTest, TornTailReportsFirstUnreadableByte) {
 
 TEST_F(LogSalvageTest, ZeroLengthFrameAtTheEndIsATornTail) {
   WriteRecords(2);
-  // The log's last 8 bytes are a frame header claiming an empty payload:
-  // its CRC matches (CRC32C of nothing is 0), but nothing decodes, and the
-  // payload pointer is one past the end of the log.
-  uint64_t header = storage_.AppendLog(kLog, std::vector<uint8_t>(8, 0));
+  // The log ends in a frame with an empty payload: its CRC matches (CRC32C
+  // of nothing is 0), but nothing decodes, and the payload pointer is one
+  // past the end of the log.
+  std::vector<uint8_t> empty_frame;
+  AppendFrame({}, &empty_frame);
+  uint64_t header = storage_.AppendLog(kLog, empty_frame);
 
   LogReader reader(View(), 0);
   reader.EnableSalvage();
@@ -132,12 +140,12 @@ TEST_F(LogSalvageTest, ZeroLengthFrameAtTheEndIsATornTail) {
   EXPECT_FALSE(ReadRecordAt(View(), header).ok());
 }
 
-// A gsn-prefixed frame must hold the 8-byte prefix: a shorter payload whose
-// length and CRC check out is still Corruption to the point read and a torn
-// tail to the reader.
+// A gsn-prefixed frame must open with a whole gsn varint: a payload whose
+// varint does not end inside it, though its length and CRC check out, is
+// still Corruption to the point read and a torn tail to the reader.
 TEST_F(LogSalvageTest, PrefixedFrameShorterThanTheGsnIsCorruption) {
   LogWriter writer(kLog, &storage_, &disk_, &clock_);
-  uint64_t lsn = writer.AppendPayload({1, 2, 3, 4});
+  uint64_t lsn = writer.AppendPayload({0x81, 0x82, 0x83, 0x84});
   writer.Force();
   CostModel costs;
   LogManager log(kLog, &storage_, &disk_, &clock_, &costs,
@@ -170,7 +178,7 @@ TEST_F(LogSalvageTest, CleanLogHasNoSalvageArtifacts) {
 
 TEST_F(LogSalvageTest, DumpLogPrintsSkipsAndTornOffset) {
   std::vector<uint64_t> lsns = WriteRecords(5);
-  storage_.CorruptLog(kLog, lsns[1] + 8, 1);
+  storage_.CorruptLog(kLog, Payload(lsns[1]), 1);
   storage_.TruncateLog(kLog, lsns[4] + 2);
 
   std::string dump = DumpLog(View());

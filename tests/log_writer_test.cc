@@ -21,6 +21,9 @@ std::vector<uint8_t> Payload(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
 }
 
+// A payload under 128 bytes is framed by a one-byte length and the CRC.
+constexpr uint64_t kShortHeader = 1 + 4;
+
 TEST_F(LogWriterTest, BufferedUntilForce) {
   LogWriter writer("m/p1.log", &storage_, &disk_, &clock_);
   uint64_t lsn = writer.AppendPayload(Payload("hello"));
@@ -31,7 +34,7 @@ TEST_F(LogWriterTest, BufferedUntilForce) {
 
   writer.Force();
   EXPECT_FALSE(writer.has_buffered());
-  EXPECT_EQ(storage_.LogSize("m/p1.log"), 5u + 8u);
+  EXPECT_EQ(storage_.LogSize("m/p1.log"), 5u + kShortHeader);
   EXPECT_TRUE(writer.IsStable(lsn));
 }
 
@@ -40,8 +43,8 @@ TEST_F(LogWriterTest, LsnsAreFrameOffsets) {
   uint64_t a = writer.AppendPayload(Payload("aa"));
   uint64_t b = writer.AppendPayload(Payload("bbbb"));
   EXPECT_EQ(a, 0u);
-  EXPECT_EQ(b, 2u + 8u);
-  EXPECT_EQ(writer.next_lsn(), b + 4 + 8);
+  EXPECT_EQ(b, 2u + kShortHeader);
+  EXPECT_EQ(writer.next_lsn(), b + 4 + kShortHeader);
 }
 
 TEST_F(LogWriterTest, ForceAdvancesClockByDiskLatency) {
@@ -66,7 +69,7 @@ TEST_F(LogWriterTest, DropBufferLosesUnforcedRecords) {
   writer.Force();
   uint64_t lost = writer.AppendPayload(Payload("lost"));
   writer.DropBuffer();
-  EXPECT_EQ(storage_.LogSize("m/p1.log"), 6u + 8u);
+  EXPECT_EQ(storage_.LogSize("m/p1.log"), 6u + kShortHeader);
   EXPECT_FALSE(writer.IsStable(lost));
 }
 
@@ -77,7 +80,7 @@ TEST_F(LogWriterTest, ReopenResumesAtStableSize) {
     writer.Force();
   }
   LogWriter reopened("m/p1.log", &storage_, &disk_, &clock_);
-  EXPECT_EQ(reopened.next_lsn(), 3u + 8u);
+  EXPECT_EQ(reopened.next_lsn(), 3u + kShortHeader);
 }
 
 TEST_F(LogWriterTest, CapacityOverflowAutoForces) {
@@ -147,7 +150,12 @@ TEST_F(LogWriterTest, CorruptedRecordStopsScan) {
   writer.AppendPayload(EncodedRecord("first"));
   uint64_t second = writer.AppendPayload(EncodedRecord("second"));
   writer.Force();
-  storage_.CorruptLog("m/p1.log", second + 8, 1);  // flip payload byte
+  // Flip a payload byte.
+  storage_.CorruptLog(
+      "m/p1.log",
+      FramePayloadLsn(LogView{&storage_.ReadLog("m/p1.log"), 0}, second)
+          .value(),
+      1);
 
   LogReader reader(storage_.ReadLog("m/p1.log"), 0);
   EXPECT_TRUE(reader.Next().has_value());

@@ -12,6 +12,7 @@
 namespace phoenix {
 namespace {
 
+using phoenix::testing::PayloadLsn;
 using phoenix::testing::RegisterTestComponents;
 
 class RecoveryRobustnessTest : public ::testing::Test {
@@ -213,7 +214,8 @@ TEST_F(RecoveryRobustnessTest, CorruptStateRecordFallsBackToOlderOrigin) {
   });
   ASSERT_NE(state_lsn, kInvalidLsn);
   proc_->Kill();
-  sim_->storage().CorruptLog(proc_->log_name(), state_lsn + 8, 2);
+  sim_->storage().CorruptLog(proc_->log_name(),
+                             PayloadLsn(proc_->log(), state_lsn), 2);
 
   ASSERT_TRUE(alpha_->recovery_service().EnsureProcessAlive(1).ok());
   EXPECT_EQ(client.Call(*uri, "Get", {})->AsInt(), 5);
@@ -251,7 +253,8 @@ TEST_F(RecoveryRobustnessTest, StateRecordFallbackChargedToItsRestoreLane) {
   });
   ASSERT_NE(state_lsn, kInvalidLsn);
   proc_->Kill();
-  sim_->storage().CorruptLog(proc_->log_name(), state_lsn + 8, 2);
+  sim_->storage().CorruptLog(proc_->log_name(),
+                             PayloadLsn(proc_->log(), state_lsn), 2);
 
   ASSERT_TRUE(alpha_->recovery_service().EnsureProcessAlive(1).ok());
   EXPECT_EQ(sim_->metrics().CounterTotal(
@@ -312,7 +315,7 @@ StalePlanOutcome RecoverWithRottedNewestState(uint32_t lanes) {
   });
   EXPECT_NE(newest, kInvalidLsn);
   proc.Kill();
-  sim.storage().CorruptLog(proc.log_name(), newest + 8, 2);
+  sim.storage().CorruptLog(proc.log_name(), PayloadLsn(proc.log(), newest), 2);
   EXPECT_TRUE(alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
 
   StalePlanOutcome out;
@@ -362,7 +365,8 @@ TEST_F(RecoveryRobustnessTest, CorruptionInsideCheckpointBracketFullScan) {
   });
   ASSERT_NE(entry_lsn, kInvalidLsn);
   proc_->Kill();
-  sim_->storage().CorruptLog(proc_->log_name(), entry_lsn + 8, 2);
+  sim_->storage().CorruptLog(proc_->log_name(),
+                             PayloadLsn(proc_->log(), entry_lsn), 2);
 
   ASSERT_TRUE(alpha_->recovery_service().EnsureProcessAlive(1).ok());
   EXPECT_EQ(client.Call(*uri, "Get", {})->AsInt(), 5);

@@ -26,6 +26,7 @@
 namespace phoenix {
 namespace {
 
+using phoenix::testing::PayloadLsn;
 using phoenix::testing::RegisterTestComponents;
 
 // The workload every test plans against: two Chain->Counter edges plus an
@@ -330,8 +331,7 @@ TEST_F(ReplayPlanTest, GapInsideUnitExtentDemotesTheChain) {
   uint64_t interior = FindAnyInteriorLsn(*proc_, intact);
   ASSERT_NE(interior, kInvalidLsn);
   std::vector<uint8_t> damaged = *stable.bytes;
-  // +8 lands in the payload, past the length/CRC header.
-  damaged[interior - stable.base + 8] ^= 0xFF;
+  damaged[PayloadLsn(proc_->log(), interior) - stable.base] ^= 0xFF;
   ReplayPlan plan = PlanForDamaged(*proc_, damaged, stable.base);
   EXPECT_TRUE(plan.salvaged);
   EXPECT_GE(plan.demoted_chains, 1u);
@@ -399,7 +399,8 @@ std::vector<int64_t> RunCrashRecover(uint32_t lanes, Rot rot = Rot::kNone) {
   bool corrupt = rot != Rot::kNone;
   if (corrupt) {
     EXPECT_NE(rotted, kInvalidLsn);
-    sim.storage().CorruptLog(proc.log_name(), rotted + 8, /*flip_count=*/2);
+    sim.storage().CorruptLog(proc.log_name(), PayloadLsn(proc.log(), rotted),
+                             /*flip_count=*/2);
   }
   EXPECT_TRUE(alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
 
@@ -489,7 +490,8 @@ TEST(ParallelReplayTest, LostReplyLiveCallReplaysTheCalleesFinalUnit) {
         ReplyReceivedLsns(proc, proc.FindContextOfComponent("mid")->id());
     ASSERT_EQ(replies.size(), 3u);
     proc.Kill();
-    sim.storage().CorruptLog(proc.log_name(), replies.back() + 8,
+    sim.storage().CorruptLog(proc.log_name(),
+                             PayloadLsn(proc.log(), replies.back()),
                              /*flip_count=*/2);
     ASSERT_TRUE(alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
     EXPECT_GE(sim.metrics().CounterTotal("phoenix.intercept.dedupe_hits"),
@@ -566,7 +568,8 @@ TEST(ParallelReplayTest, DecimatedPlanReplaysToTheExpectedState) {
     uint64_t rotted = FindIncoming(*w.proc, leaf_ctx, 1);
     ASSERT_NE(rotted, kInvalidLsn);
     w.proc->Kill();
-    w.sim->storage().CorruptLog(w.proc->log_name(), rotted + 8,
+    w.sim->storage().CorruptLog(w.proc->log_name(),
+                                PayloadLsn(w.proc->log(), rotted),
                                 /*flip_count=*/2);
     ASSERT_TRUE(w.proc->machine()
                     ->recovery_service()

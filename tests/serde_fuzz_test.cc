@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/crc32c.h"
 #include "common/random.h"
+#include "wal/frame_codec.h"
 #include "wal/log_reader.h"
 #include "wal/log_record.h"
 
@@ -110,11 +110,14 @@ TEST_P(ValueFuzzTest, RandomRecordsRoundTripThroughFrames) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ValueFuzzTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-TEST(LogCorruptionFuzzTest, BitFlipsNeverPassTheCrc) {
+// Flips one bit anywhere in a log of ten frames, 300 times, and verifies
+// the reader stops at or before the flipped frame — never returns corrupted
+// payload bytes as a valid record. With `gsn_prefixed`, every payload opens
+// with an absolute gsn varint (one, two and three bytes long across the
+// frames) and the reader must also hand back each record's own gsn.
+void BitFlipsNeverPassTheCrc(bool gsn_prefixed) {
   Random rng(4242);
-  // Build a log of several frames, then flip one bit anywhere and verify
-  // the reader stops at or before the flipped frame — never returns
-  // corrupted payload bytes as a valid record.
+  auto gsn_of = [](uint64_t i) { return (uint64_t{1} << (7 * (i % 3))) + i; };
   std::vector<uint8_t> log;
   std::vector<uint64_t> frame_starts;
   for (int i = 0; i < 10; ++i) {
@@ -122,13 +125,10 @@ TEST(LogCorruptionFuzzTest, BitFlipsNeverPassTheCrc) {
     rec.context_id = i;
     rec.method = "m" + std::to_string(i);
     Encoder enc;
+    if (gsn_prefixed) PutGsnPrefix(gsn_of(i), enc);
     EncodeLogRecord(LogRecord(rec), enc);
     frame_starts.push_back(log.size());
-    uint32_t len = static_cast<uint32_t>(enc.size());
-    uint32_t crc = Crc32c(enc.buffer().data(), enc.size());
-    for (int b = 0; b < 4; ++b) log.push_back(static_cast<uint8_t>(len >> (8 * b)));
-    for (int b = 0; b < 4; ++b) log.push_back(static_cast<uint8_t>(crc >> (8 * b)));
-    log.insert(log.end(), enc.buffer().begin(), enc.buffer().end());
+    AppendFrame(enc.buffer(), &log);
   }
 
   for (int trial = 0; trial < 300; ++trial) {
@@ -143,18 +143,28 @@ TEST(LogCorruptionFuzzTest, BitFlipsNeverPassTheCrc) {
     }
 
     LogReader reader(mutated, 0);
+    if (gsn_prefixed) reader.EnableGsnPrefix();
     size_t index = 0;
     while (auto rec = reader.Next()) {
       // Every record returned must be an intact original, in order.
       const auto* in = std::get_if<IncomingCallRecord>(&rec->record);
       ASSERT_NE(in, nullptr);
       ASSERT_EQ(in->context_id, index);
+      ASSERT_EQ(rec->order, gsn_prefixed ? gsn_of(index) : rec->lsn);
       ++index;
     }
     // The scan stops exactly at the flipped frame.
     EXPECT_EQ(index, flipped_frame) << "flip at byte " << pos;
     EXPECT_TRUE(reader.tail_torn());
   }
+}
+
+TEST(LogCorruptionFuzzTest, BitFlipsNeverPassTheCrc) {
+  BitFlipsNeverPassTheCrc(/*gsn_prefixed=*/false);
+}
+
+TEST(LogCorruptionFuzzTest, BitFlipsNeverPassTheCrcOnAShardedImage) {
+  BitFlipsNeverPassTheCrc(/*gsn_prefixed=*/true);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <string>
 
 #include "core/phoenix.h"
+#include "wal/log_reader.h"
+#include "wal/shard_router.h"
 
 namespace phoenix::testing {
 
@@ -168,6 +170,14 @@ class Batcher : public Component {
  private:
   ComponentRefField server_;
 };
+
+// Where a test rots the record whose frame starts at composite `lsn` on
+// `log`: the shard-local LSN of its payload, past the variable-length frame
+// header, so the header stays intact and only the CRC can catch the rot.
+inline uint64_t PayloadLsn(const LogManager& log, uint64_t lsn) {
+  return FramePayloadLsn(log.ShardStableView(ShardOfLsn(lsn)), LocalOfLsn(lsn))
+      .value();
+}
 
 inline void RegisterTestComponents(ComponentFactoryRegistry& factories) {
   factories.Register<Counter>("Counter");

@@ -23,6 +23,7 @@
 namespace phoenix {
 namespace {
 
+using phoenix::testing::PayloadLsn;
 using phoenix::testing::RegisterTestComponents;
 
 IncomingCallRecord Incoming(uint64_t context_id, const std::string& method) {
@@ -480,7 +481,7 @@ TEST_F(ShardedRecoveryTest, DamageBelowTheCheckpointCutIsNotReported) {
       }
       ASSERT_TRUE(victim.has_value());
       sim_->storage().CorruptLog(log.shard_log_name(victim->shard),
-                                 LocalOfLsn(victim->lsn) + 8,
+                                 PayloadLsn(log, victim->lsn),
                                  /*flip_count=*/2);
 
       ASSERT_TRUE(alpha_->recovery_service().EnsureProcessAlive(1).ok());

@@ -64,7 +64,7 @@
 #include "common/random.h"
 #include "common/strings.h"
 #include "obs/bench_reporter.h"
-#include "wal/merged_log_reader.h"
+#include "recovery/recovery_service.h"
 
 namespace phoenix::tools {
 namespace {
@@ -488,22 +488,6 @@ struct ArmedTriggers {
   }
 };
 
-// Rots the newest readable state record (in append order; on a sharded log
-// in whichever shard file holds it) inside its payload.
-void RotNewestStateRecord(Simulation& sim, const LogManager& log) {
-  std::optional<OrderedRecord> newest;
-  OrderedLogCursor cursor(log, log.head_order());
-  while (std::optional<OrderedRecord> rec = cursor.Next()) {
-    if (std::holds_alternative<ContextStateRecord>(rec->record)) {
-      newest = std::move(rec);
-    }
-  }
-  if (!newest.has_value()) return;
-  // +8 lands inside the payload, past the length/CRC header.
-  sim.storage().CorruptLog(log.shard_log_name(newest->shard),
-                           LocalOfLsn(newest->lsn) + 8, /*flip_count=*/2);
-}
-
 // The mid-run kill, between waves: the target dies; the storage arm rots
 // what salvage must tolerate and tears one shard's un-externalized stable
 // tail (retries must mask it, the same contract as crash-time tears); the
@@ -512,7 +496,7 @@ void RotNewestStateRecord(Simulation& sim, const LogManager& log) {
 Status MidRunKill(const RunConfig& cfg, Simulation& sim, Process& target,
                   ArmedTriggers& recovery_triggers) {
   target.Kill();
-  if (cfg.bitrot_state) RotNewestStateRecord(sim, target.log());
+  if (cfg.bitrot_state) RotNewestStateRecord(sim.storage(), target.log());
   if (cfg.bitrot_wkf) {
     sim.storage().CorruptFile(target.log_name() + ".wkf", 0,
                               /*flip_count=*/2);
