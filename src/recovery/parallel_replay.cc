@@ -61,12 +61,29 @@ double RecoveryLanes::Close() {
 
 namespace {
 
-// Rebuilds the CallMessage a logged incoming call was delivered as.
-CallMessage MessageFromRecord(const IncomingCallRecord& record,
-                              const std::string& target_uri) {
+// Rebuilds the CallMessage a logged incoming call was delivered as. A
+// ranked method is named through `parent`'s registry. A method the registry
+// lacks means the record is not what was logged; replaying some other
+// method in its place would diverge, so it is Corruption.
+Result<CallMessage> MessageFromRecord(const IncomingCallRecord& record,
+                                      const Component& parent,
+                                      const MethodRegistry& methods) {
+  const std::string* name = nullptr;
+  if (record.method_rank.has_value()) {
+    name = methods.NameOfRank(*record.method_rank);
+  } else if (methods.Find(record.method) != nullptr) {
+    name = &record.method;
+  }
+  if (name == nullptr) {
+    return Status::Corruption(StrCat(
+        "incoming call record names method ",
+        record.method_rank.has_value() ? StrCat("#", *record.method_rank)
+                                       : record.method,
+        ", which ", parent.type_name(), " lacks"));
+  }
   CallMessage msg;
-  msg.target_uri = target_uri;
-  msg.method = record.method;
+  msg.target_uri = parent.uri();
+  msg.method = *name;
   msg.args = record.args;
   if (!record.call_id.caller.machine.empty() || record.call_id.seq != 0 ||
       record.client_kind != ComponentKind::kExternal) {
@@ -186,8 +203,10 @@ Status ParallelReplayEngine::ReplayUnit(uint64_t context_id,
   ++calls_replayed_;
   Component* parent = ctx->parent();
   PHX_CHECK(parent != nullptr);
-  CallMessage msg = MessageFromRecord(std::get<IncomingCallRecord>(opening),
-                                      parent->uri());
+  PHX_ASSIGN_OR_RETURN(
+      CallMessage msg,
+      MessageFromRecord(std::get<IncomingCallRecord>(opening), *parent,
+                        ctx->parent_slot()->methods));
   Result<ReplyMessage> reply = ctx->ReplayIncoming(msg, feed);
   if (!reply.ok()) return std::move(reply).status();
   // Condition 5: the reply stays with the recovery manager. The last-call

@@ -160,7 +160,7 @@ Result<ReplyMessage> Context::HandleIncoming(const CallMessage& msg) {
     IncomingCallRecord rec;
     rec.context_id = id_;
     if (msg.has_call_id) rec.call_id = msg.call_id;
-    rec.method = msg.method;
+    rec.method_rank = method_entry->rank;
     rec.args = msg.args;
     rec.client_kind = client_kind;
     proc->log().Append(rec);

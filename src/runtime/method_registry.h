@@ -21,6 +21,11 @@ struct MethodTraits {
 struct MethodEntry {
   std::function<Result<Value>(const ArgList&)> handler;
   MethodTraits traits;
+  // Position of the method in its registry's name order. Method sets are
+  // static per type, so a rank names the same method in every instance of
+  // the type, whatever order it registered its methods in; incoming-call
+  // log records carry it instead of the name.
+  uint32_t rank = 0;
 };
 
 // Dispatch table a component fills in from RegisterMethods(). This replaces
@@ -43,6 +48,10 @@ class MethodRegistry {
 
   // nullptr when absent.
   const MethodEntry* Find(const std::string& name) const;
+
+  // Name of the method at `rank` (MethodEntry::rank); nullptr past the
+  // table.
+  const std::string* NameOfRank(uint32_t rank) const;
 
   const std::map<std::string, MethodEntry>& entries() const {
     return entries_;

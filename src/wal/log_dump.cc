@@ -38,7 +38,10 @@ struct DescribeVisitor {
   std::string operator()(const IncomingCallRecord& r) {
     return StrCat("IncomingCall     ctx ", r.context_id, "  from ",
                   ComponentKindName(r.client_kind), " ",
-                  r.call_id.ToString(), "  ", r.method,
+                  r.call_id.ToString(), "  ",
+                  r.method_rank.has_value()
+                      ? StrCat("method #", *r.method_rank)
+                      : r.method,
                   PreviewArgs(r.args));
   }
   std::string operator()(const ReplySentRecord& r) {

@@ -17,7 +17,9 @@ class LogManager;
 const char* LogRecordTypeName(LogRecordType type);
 
 // One-line human-readable rendering of a record: type, context, call id,
-// method and a bounded preview of the payload.
+// method and a bounded preview of the payload. An incoming call's method
+// shows as "method #<rank>" when the record names it by rank: only the
+// callee's MethodRegistry, above wal/, knows the name.
 std::string DescribeRecord(const LogRecord& record);
 
 // Multi-line dump of one log image, read by its format: one

@@ -1,7 +1,33 @@
 #include "wal/log_record.h"
 
+#include <limits>
+
+#include "wal/shard_router.h"
+
 namespace phoenix {
 namespace {
+
+// An LSN field: `varint(shard + 1) varint(local offset)`, or a single 0 for
+// kInvalidLsn. A plain varint of a composite LSN would take 8 bytes, since
+// the shard sits in bits 48 and up.
+void PutLsn(uint64_t lsn, Encoder& enc) {
+  if (lsn == kInvalidLsn) {
+    enc.PutVarint(0);
+    return;
+  }
+  enc.PutVarint(uint64_t{ShardOfLsn(lsn)} + 1);
+  enc.PutVarint(LocalOfLsn(lsn));
+}
+
+Result<uint64_t> GetLsn(Decoder& dec) {
+  PHX_ASSIGN_OR_RETURN(uint64_t shard, dec.GetVarint());
+  if (shard == 0) return kInvalidLsn;
+  PHX_ASSIGN_OR_RETURN(uint64_t local, dec.GetVarint());
+  if (shard > kMaxWalShards || local > kShardLocalMask) {
+    return Status::Corruption("lsn field out of range");
+  }
+  return MakeShardLsn(static_cast<uint32_t>(shard - 1), local);
+}
 
 void EncodeFieldSnapshot(const FieldSnapshot& f, Encoder& enc) {
   enc.PutString(f.name);
@@ -49,7 +75,13 @@ struct EncodeVisitor {
   void operator()(const IncomingCallRecord& r) {
     enc.PutVarint(r.context_id);
     r.call_id.EncodeTo(enc);
-    enc.PutString(r.method);
+    // `varint(rank + 1)`, or 0 and the literal name.
+    if (r.method_rank.has_value()) {
+      enc.PutVarint(uint64_t{*r.method_rank} + 1);
+    } else {
+      enc.PutVarint(0);
+      enc.PutString(r.method);
+    }
     enc.PutArgList(r.args);
     enc.PutU8(static_cast<uint8_t>(r.client_kind));
   }
@@ -98,26 +130,26 @@ struct EncodeVisitor {
     enc.PutVarint(r.last_call_refs.size());
     for (const LastCallRef& ref : r.last_call_refs) {
       ref.call_id.EncodeTo(enc);
-      enc.PutU64(ref.reply_lsn);
+      PutLsn(ref.reply_lsn, enc);
     }
   }
   void operator()(const BeginCheckpointRecord&) {}
   void operator()(const CheckpointContextEntryRecord& r) {
     enc.PutVarint(r.context_id);
-    enc.PutU64(r.recovery_lsn);
+    PutLsn(r.recovery_lsn, enc);
     enc.PutVarint(r.last_outgoing_seq);
   }
   void operator()(const CheckpointLastCallRecord& r) {
     enc.PutVarint(r.context_id);
     r.call_id.EncodeTo(enc);
-    enc.PutU64(r.reply_lsn);
+    PutLsn(r.reply_lsn, enc);
   }
   void operator()(const CheckpointRemoteTypeRecord& r) {
     enc.PutString(r.uri);
     enc.PutU8(static_cast<uint8_t>(r.kind));
     enc.PutString(r.type_name);
   }
-  void operator()(const EndCheckpointRecord& r) { enc.PutU64(r.begin_lsn); }
+  void operator()(const EndCheckpointRecord& r) { PutLsn(r.begin_lsn, enc); }
 };
 
 }  // namespace
@@ -177,7 +209,14 @@ Result<LogRecord> DecodeLogRecord(const uint8_t* data, size_t n) {
       IncomingCallRecord r;
       PHX_ASSIGN_OR_RETURN(r.context_id, dec.GetVarint());
       PHX_ASSIGN_OR_RETURN(r.call_id, CallId::DecodeFrom(dec));
-      PHX_ASSIGN_OR_RETURN(r.method, dec.GetString());
+      PHX_ASSIGN_OR_RETURN(uint64_t rank, dec.GetVarint());
+      if (rank == 0) {
+        PHX_ASSIGN_OR_RETURN(r.method, dec.GetString());
+      } else if (rank - 1 > std::numeric_limits<uint32_t>::max()) {
+        return Status::Corruption("method rank out of range");
+      } else {
+        r.method_rank = static_cast<uint32_t>(rank - 1);
+      }
       PHX_ASSIGN_OR_RETURN(r.args, dec.GetArgList());
       PHX_ASSIGN_OR_RETURN(uint8_t kind, dec.GetU8());
       r.client_kind = static_cast<ComponentKind>(kind);
@@ -248,7 +287,7 @@ Result<LogRecord> DecodeLogRecord(const uint8_t* data, size_t n) {
       for (uint64_t i = 0; i < nrefs; ++i) {
         LastCallRef ref;
         PHX_ASSIGN_OR_RETURN(ref.call_id, CallId::DecodeFrom(dec));
-        PHX_ASSIGN_OR_RETURN(ref.reply_lsn, dec.GetU64());
+        PHX_ASSIGN_OR_RETURN(ref.reply_lsn, GetLsn(dec));
         r.last_call_refs.push_back(std::move(ref));
       }
       return LogRecord(std::move(r));
@@ -258,7 +297,7 @@ Result<LogRecord> DecodeLogRecord(const uint8_t* data, size_t n) {
     case LogRecordType::kCheckpointContextEntry: {
       CheckpointContextEntryRecord r;
       PHX_ASSIGN_OR_RETURN(r.context_id, dec.GetVarint());
-      PHX_ASSIGN_OR_RETURN(r.recovery_lsn, dec.GetU64());
+      PHX_ASSIGN_OR_RETURN(r.recovery_lsn, GetLsn(dec));
       PHX_ASSIGN_OR_RETURN(r.last_outgoing_seq, dec.GetVarint());
       return LogRecord(std::move(r));
     }
@@ -266,7 +305,7 @@ Result<LogRecord> DecodeLogRecord(const uint8_t* data, size_t n) {
       CheckpointLastCallRecord r;
       PHX_ASSIGN_OR_RETURN(r.context_id, dec.GetVarint());
       PHX_ASSIGN_OR_RETURN(r.call_id, CallId::DecodeFrom(dec));
-      PHX_ASSIGN_OR_RETURN(r.reply_lsn, dec.GetU64());
+      PHX_ASSIGN_OR_RETURN(r.reply_lsn, GetLsn(dec));
       return LogRecord(std::move(r));
     }
     case LogRecordType::kCheckpointRemoteType: {
@@ -279,7 +318,7 @@ Result<LogRecord> DecodeLogRecord(const uint8_t* data, size_t n) {
     }
     case LogRecordType::kEndCheckpoint: {
       EndCheckpointRecord r;
-      PHX_ASSIGN_OR_RETURN(r.begin_lsn, dec.GetU64());
+      PHX_ASSIGN_OR_RETURN(r.begin_lsn, GetLsn(dec));
       return LogRecord(std::move(r));
     }
   }

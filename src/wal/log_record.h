@@ -2,6 +2,7 @@
 #define PHOENIX_WAL_LOG_RECORD_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -39,11 +40,16 @@ inline constexpr uint64_t kInvalidLsn = ~uint64_t{0};
 // --- message records -------------------------------------------------------
 
 // Message 1: an incoming method call delivered to a context's parent. Always
-// a long record: method + arguments are what replay re-executes.
+// a long record: method + arguments are what replay re-executes. The
+// interceptor names the method by its rank in the parent's MethodRegistry
+// (MethodEntry::rank), which replay turns back into a name through the
+// recovered parent's registry; a record built without a registry names it
+// by `method`.
 struct IncomingCallRecord {
   uint64_t context_id = 0;   // id of the parent component of the context
   CallId call_id;            // caller identity + caller-side sequence
-  std::string method;
+  std::optional<uint32_t> method_rank;
+  std::string method;        // empty when method_rank is set
   ArgList args;
   ComponentKind client_kind = ComponentKind::kExternal;
 };

@@ -476,7 +476,7 @@ TEST(OneLaneScheduleTest, NonFinalUnitsInLogOrderThenFinalsOldestFirst) {
     // unit count, its creation included.
     struct Call {
       uint64_t context = 0;
-      std::string method;
+      uint32_t method_rank = 0;
       bool final = false;
     };
     std::vector<Call> calls;
@@ -487,7 +487,8 @@ TEST(OneLaneScheduleTest, NonFinalUnitsInLogOrderThenFinalsOldestFirst) {
     while (auto parsed = reader.Next()) {
       if (const auto* in = std::get_if<IncomingCallRecord>(&parsed->record)) {
         last[in->context_id] = calls.size();
-        calls.push_back(Call{in->context_id, in->method});
+        ASSERT_TRUE(in->method_rank.has_value());
+        calls.push_back(Call{in->context_id, *in->method_rank});
         ++units[in->context_id];
       } else if (const auto* creation =
                      std::get_if<CreationRecord>(&parsed->record)) {
@@ -495,18 +496,24 @@ TEST(OneLaneScheduleTest, NonFinalUnitsInLogOrderThenFinalsOldestFirst) {
       }
     }
     for (const auto& [context, index] : last) calls[index].final = true;
-    std::vector<std::string> non_finals;
-    std::vector<std::string> finals;
-    for (const Call& call : calls) {
-      (call.final ? finals : non_finals)
-          .push_back(StrCat(call.context, ":", call.method));
-    }
     uint64_t unit_count = 0;
     for (const auto& [context, count] : units) unit_count += count;
     uint64_t non_final_units = unit_count - units.size();
 
     sim.tracer().set_enabled(true);
     ASSERT_TRUE(alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
+    // The records name their methods by rank; the recovered contexts'
+    // method tables name them again.
+    std::vector<std::string> non_finals;
+    std::vector<std::string> finals;
+    for (const Call& call : calls) {
+      const std::string* method = proc.FindContext(call.context)
+                                      ->parent_slot()
+                                      ->methods.NameOfRank(call.method_rank);
+      ASSERT_NE(method, nullptr);
+      (call.final ? finals : non_finals)
+          .push_back(StrCat(call.context, ":", *method));
+    }
     std::vector<std::string> replayed;
     for (const obs::TraceEvent& e : sim.tracer().events()) {
       if (e.category != "intercept" || e.phase != obs::TracePhase::kBegin ||

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/strings.h"
 #include "wal/frame_codec.h"
 #include "wal/log_reader.h"
 #include "wal/log_record.h"
@@ -86,10 +87,14 @@ TEST_P(ValueFuzzTest, RandomRecordsRoundTripThroughFrames) {
     IncomingCallRecord rec;
     rec.context_id = rng.Uniform(1000);
     rec.call_id = CallId{
-        ClientKey{"m" + std::to_string(rng.Uniform(3)),
+        ClientKey{StrCat("m", rng.Uniform(3)),
                   static_cast<uint32_t>(rng.Uniform(9)), rng.Uniform(50)},
         rng.Next() % 100000};
-    rec.method = "method" + std::to_string(rng.Uniform(10));
+    if (rng.Uniform(2) == 0) {
+      rec.method_rank = static_cast<uint32_t>(rng.Uniform(300));
+    } else {
+      rec.method = StrCat("method", rng.Uniform(10));
+    }
     for (uint64_t k = 0, n = rng.Uniform(6); k < n; ++k) {
       rec.args.push_back(RandomValue(rng, 1));
     }
@@ -102,6 +107,8 @@ TEST_P(ValueFuzzTest, RandomRecordsRoundTripThroughFrames) {
     const auto* decoded = std::get_if<IncomingCallRecord>(&*out);
     ASSERT_NE(decoded, nullptr);
     EXPECT_EQ(decoded->call_id, rec.call_id);
+    EXPECT_EQ(decoded->method_rank, rec.method_rank);
+    EXPECT_EQ(decoded->method, rec.method);
     EXPECT_EQ(decoded->args, rec.args);
     EXPECT_EQ(decoded->client_kind, rec.client_kind);
   }
@@ -114,8 +121,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ValueFuzzTest,
 // the reader stops at or before the flipped frame — never returns corrupted
 // payload bytes as a valid record. With `gsn_prefixed`, every payload opens
 // with an absolute gsn varint (one, two and three bytes long across the
-// frames) and the reader must also hand back each record's own gsn.
-void BitFlipsNeverPassTheCrc(bool gsn_prefixed) {
+// frames) and the reader must also hand back each record's own gsn. With
+// `ranked`, every other record names its method by rank, so a flip can land
+// in either form of the method field.
+void BitFlipsNeverPassTheCrc(bool gsn_prefixed, bool ranked = false) {
   Random rng(4242);
   auto gsn_of = [](uint64_t i) { return (uint64_t{1} << (7 * (i % 3))) + i; };
   std::vector<uint8_t> log;
@@ -123,7 +132,11 @@ void BitFlipsNeverPassTheCrc(bool gsn_prefixed) {
   for (int i = 0; i < 10; ++i) {
     IncomingCallRecord rec;
     rec.context_id = i;
-    rec.method = "m" + std::to_string(i);
+    if (ranked && i % 2 == 0) {
+      rec.method_rank = i;
+    } else {
+      rec.method = StrCat("m", i);
+    }
     Encoder enc;
     if (gsn_prefixed) PutGsnPrefix(gsn_of(i), enc);
     EncodeLogRecord(LogRecord(rec), enc);
@@ -150,6 +163,7 @@ void BitFlipsNeverPassTheCrc(bool gsn_prefixed) {
       const auto* in = std::get_if<IncomingCallRecord>(&rec->record);
       ASSERT_NE(in, nullptr);
       ASSERT_EQ(in->context_id, index);
+      ASSERT_EQ(in->method_rank.has_value(), ranked && index % 2 == 0);
       ASSERT_EQ(rec->order, gsn_prefixed ? gsn_of(index) : rec->lsn);
       ++index;
     }
@@ -165,6 +179,14 @@ TEST(LogCorruptionFuzzTest, BitFlipsNeverPassTheCrc) {
 
 TEST(LogCorruptionFuzzTest, BitFlipsNeverPassTheCrcOnAShardedImage) {
   BitFlipsNeverPassTheCrc(/*gsn_prefixed=*/true);
+}
+
+TEST(LogCorruptionFuzzTest, BitFlipsNeverPassTheCrcWithRankedMethods) {
+  BitFlipsNeverPassTheCrc(/*gsn_prefixed=*/false, /*ranked=*/true);
+}
+
+TEST(LogCorruptionFuzzTest, BitFlipsNeverPassTheCrcWithRankedMethodsSharded) {
+  BitFlipsNeverPassTheCrc(/*gsn_prefixed=*/true, /*ranked=*/true);
 }
 
 }  // namespace

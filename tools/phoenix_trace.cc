@@ -29,7 +29,9 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bookstore/setup.h"
@@ -39,6 +41,7 @@
 #include "recovery/checkpoint_manager.h"
 #include "recovery/replay_plan.h"
 #include "wal/log_dump.h"
+#include "wal/merged_log_reader.h"
 #include "wal/shard_router.h"
 
 namespace phoenix::tools {
@@ -323,6 +326,21 @@ int Run(const Options& opts) {
           static_cast<unsigned long long>(plan.cross_edges),
           CriticalPathMs(plan, unit_ms, /*ready_ms=*/{}, /*lanes_only=*/false),
           static_cast<double>(plan.total_units()) * unit_ms);
+    }
+    // A logged incoming call names its method by its rank in the callee's
+    // method table; the live context's table names it again.
+    OrderedLogCursor cursor(proc.log(), proc.log().head_order());
+    while (std::optional<OrderedRecord> rec = cursor.Next()) {
+      const auto* in = std::get_if<IncomingCallRecord>(&rec->record);
+      if (in == nullptr || !in->method_rank.has_value()) continue;
+      Context* ctx = proc.FindContext(in->context_id);
+      ComponentSlot* slot = ctx != nullptr ? ctx->parent_slot() : nullptr;
+      const std::string* name =
+          slot != nullptr ? slot->methods.NameOfRank(*in->method_rank)
+                          : nullptr;
+      if (name == nullptr) continue;
+      std::string& note = annotations[rec->lsn];
+      note = StrCat("[method ", *name, "]", note.empty() ? "" : "  ", note);
     }
     if (proc.log().sharded()) {
       std::printf("\nsharded recovery log of %s (%u shard(s)):\n",
